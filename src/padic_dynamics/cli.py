@@ -123,6 +123,14 @@ def _cmd_shadow(args) -> int:
     f, family = build_map(args.map, ctx)
     if family is None:
         raise PadicDynamicsError(f"map {args.map!r} has no right-inverse family")
+    # the solver and oracle points are compared on the digits that survive
+    # `length` steps of the map; with none left the comparison shows nothing
+    agree_digits = ctx.total_digits - args.length * f.precision_loss
+    if args.oracle and agree_digits < 1:
+        raise PadicDynamicsError(
+            f"--oracle would compare {agree_digits} digits: {args.length} "
+            f"steps of {f.name} lose all {ctx.total_digits}; use a shorter "
+            "--length")
     records = []
     ok = True
     for i in range(args.orbits):
@@ -138,11 +146,10 @@ def _cmd_shadow(args) -> int:
         }
         if args.oracle:
             point, err = shadowing.brute_force_shadow(f, orbit)
-            agree_digits = ctx.total_digits - args.length
-            modulus = ctx.prime ** max(agree_digits, 0)
             rec["oracle_error"] = _norm_str(err)
-            rec["oracle_agrees"] = (res.point - point) % modulus == 0 \
-                if modulus > 1 else True
+            rec["oracle_agree_digits"] = agree_digits
+            rec["oracle_agrees"] = \
+                (res.point - point) % ctx.prime ** agree_digits == 0
             ok = ok and rec["oracle_agrees"]
         ok = ok and res.bound_ok
         records.append(rec)
@@ -174,14 +181,17 @@ def _cmd_conjugate(args) -> int:
             hinv = conjugacy.build_inverse_conjugacy_thm1(f, family, g, delta,
                                                           args.depth)
             rep = conjugacy.verify_conjugacy(f, g, h)
-            cert = ctx.prime ** (ctx.total_digits - args.depth)
-            round_trip = all(
-                (hinv(h(x)) - x) % ctx.modulus % cert == 0
-                for x in range(ctx.modulus))
+            # h-tilde o h = id holds to the recursion depth (criterion 4)
+            trip_digits = min(args.depth, ctx.total_digits)
+            cert = ctx.prime ** trip_digits
+            back = hinv.table
+            round_trip = all((back[y] - x) % cert == 0
+                             for x, y in enumerate(h.table))
             rec = {"seed": seed,
                    "max_defect": _norm_str(rep.max_defect),
                    "closeness": _norm_str(rep.closeness),
                    "injective": rep.injective,
+                   "round_trip_digits": trip_digits,
                    "round_trip_ok": round_trip}
             good = (rep.max_defect <= NormValue(ctx.prime, args.depth)
                     and rep.injective and round_trip)

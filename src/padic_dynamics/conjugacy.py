@@ -4,8 +4,12 @@ Three constructions, all table-based at the context resolution:
 
 * shadowing conjugacy for maps with a finite family of contracting right
   inverses: h(x) = x + z_0(x) from a depth-limited backward recursion
-  along the g-orbit of x, together with its inverse built from
-  transferred right inverses;
+  along the g-orbit of x.  All residues are solved at once by `depth`
+  whole-table passes S_0 = id, S_k[x] = R_{i(x)}[S_{k-1}[g[x]]] with
+  i(x) the member covering x, and h = S_depth.  Its inverse runs the same
+  passes along f with the right inverses transferred from f to
+  g = f + phi: each table H_i = id + phi o R_i is inverted once and
+  R-tilde_i = R_i[H_i^-1];
 * contraction conjugacy for a bi-Lipschitz contraction R and its
   perturbation T: the space splits into layers T^n(U) of the complement
   U of the image plus a residual core, h replays each layer through R and
@@ -13,6 +17,9 @@ Three constructions, all table-based at the context resolution:
   recursion in field mode);
 * the homogeneity homeomorphism matching two close proper sequences by a
   product of isometric ball swaps.
+
+Closeness and intertwining defects are maximum norms over all residues,
+each taken as one gcd by PrecisionContext.max_norm.
 """
 
 from __future__ import annotations
@@ -30,11 +37,12 @@ from .errors import (
     DepthInsufficient,
     NonConvergence,
     NotClose,
+    NotInjective,
     NotProper,
     WindowTooSmall,
 )
 from .dynamics import DynamicMap, RightInverseFamily
-from .padic import NormValue, PrecisionContext, norm_zero
+from .padic import NormValue, PrecisionContext
 
 
 def _val(m: int, p: int, cap: int) -> int:
@@ -45,15 +53,6 @@ def _val(m: int, p: int, cap: int) -> int:
         m //= p
         v += 1
     return v
-
-
-def _max_norm(ctx: PrecisionContext, values) -> NormValue:
-    best = None
-    for m in values:
-        n = ctx.norm_of_int(m)
-        if best is None or n > best:
-            best = n
-    return best if best is not None else norm_zero(ctx.prime, ctx.resolution_exp)
 
 
 @dataclass
@@ -83,15 +82,29 @@ class ConjugacyReport:
 
 def verify_conjugacy(f: DynamicMap, g: DynamicMap, h: ConjugacyMap) -> ConjugacyReport:
     """Measure the intertwining defect f o h - h o g over all residues."""
-    ctx = h.ctx
-    M = ctx.modulus
-    defect = _max_norm(ctx, ((f(h.table[x]) - h.table[g(x)]) % M for x in range(M)))
-    return ConjugacyReport(defect, h.is_bijective(), h.closeness, M)
+    ft, gt, ht = f.tabulate(), g.tabulate(), h.table
+    defect = h.ctx.max_norm([ft[y] - ht[z] for y, z in zip(ht, gt)])
+    return ConjugacyReport(defect, h.is_bijective(), h.closeness, len(ht))
+
+
+def _closeness(ctx: PrecisionContext, table: list) -> NormValue:
+    """max |h(x) - x| over the residues x."""
+    return ctx.max_norm([y - x for x, y in enumerate(table)])
 
 
 # ---------------------------------------------------------------------------
 # transfer of right inverses along a perturbation
 # ---------------------------------------------------------------------------
+
+def _require_transferable(R: DynamicMap, delta: NormValue) -> Fraction:
+    """delta * Lip(R), the contraction rate of inverting id + phi o R."""
+    if R.lip_upper is None:
+        raise BadParams("transfer needs a declared Lipschitz bound for R")
+    shrink = delta.as_fraction() * R.lip_upper
+    if shrink >= 1:
+        raise DeltaTooLarge(f"delta * Lip(R) = {shrink} >= 1")
+    return shrink
+
 
 def transfer_right_inverse(R: DynamicMap, phi: Callable[[int], int],
                            delta: NormValue, max_iter: Optional[int] = None
@@ -102,11 +115,7 @@ def transfer_right_inverse(R: DynamicMap, phi: Callable[[int], int],
     """
     ctx = R.ctx
     M = ctx.modulus
-    if R.lip_upper is None:
-        raise BadParams("transfer needs a declared Lipschitz bound for R")
-    shrink = delta.as_fraction() * R.lip_upper
-    if shrink >= 1:
-        raise DeltaTooLarge(f"delta * Lip(R) = {shrink} >= 1")
+    shrink = _require_transferable(R, delta)
     limit = max_iter if max_iter is not None else ctx.total_digits + 2
 
     def fn(z, R=R, phi=phi, M=M, limit=limit):
@@ -133,6 +142,25 @@ def transfer_family(family: RightInverseFamily, phi: Callable[[int], int],
                               family.disjoint_open, lip)
 
 
+def _transferred_table(R: DynamicMap, phi: list, delta: NormValue) -> list:
+    """Table of R-tilde = R o H^-1, H = id + phi o R, by one inversion of H.
+
+    This is the fixed point that transfer_right_inverse iterates towards:
+    x = z - phi(R(x)) exactly when H(x) = z.
+    """
+    _require_transferable(R, delta)
+    table = R.tabulate()
+    M = len(table)
+    inv = [None] * M
+    for x, r in enumerate(table):
+        inv[(x + phi[r]) % M] = x
+    if None in inv:
+        raise NotInjective(
+            f"id + phi o {R.name} is not injective: delta * Lip(R) < 1 "
+            "fails for the supplied maps")
+    return [table[x] for x in inv]
+
+
 # ---------------------------------------------------------------------------
 # shadowing conjugacy (finite right-inverse family)
 # ---------------------------------------------------------------------------
@@ -144,24 +172,30 @@ def _require_delta_small(family: RightInverseFamily, delta: NormValue) -> None:
             f"need delta < {r - 1} for contraction rate {family.lip_upper}")
 
 
-def _orbit_recursion(g: DynamicMap, family: RightInverseFamily,
-                     x: int, depth: int) -> int:
-    """z_0 for the backward recursion along the g-orbit of x."""
-    M = g.ctx.modulus
-    orbit = [x]
+def _backward_passes(step: list, family: RightInverseFamily, tables: list,
+                     depth: int) -> list:
+    """x + z_0(x) for every residue x, z_0 from the depth-`depth` backward
+    recursion along step-orbits: S_0 = id, S_k[x] = R_{i(x)}[S_{k-1}[step[x]]]
+    with R_i's table tables[i] and i(x) = family.membership(x).
+    """
+    M = len(step)
+    idx = [family.membership(x) for x in range(M)]
+    if None in idx:
+        raise CoveringViolation(
+            f"residue {idx.index(None)} is not covered by any right inverse")
+    table = list(range(M))
     for _ in range(depth):
-        orbit.append(g(orbit[-1]))
-    idx = []
-    for n in range(depth):
-        i = family.membership(orbit[n])
-        if i is None:
-            raise CoveringViolation(f"orbit point at step {n} not covered")
-        idx.append(i)
-    z = 0
-    for n in range(depth - 1, -1, -1):
-        R = family.members[idx[n]]
-        z = (R((orbit[n + 1] + z) % M) - orbit[n]) % M
-    return z
+        table = [tables[i][table[y]] for i, y in zip(idx, step)]
+    return table
+
+
+def _thm1_tables(f: DynamicMap, family: RightInverseFamily, g: DynamicMap,
+                 delta: NormValue) -> tuple:
+    """The tables of f, g and the family members, once the guards hold."""
+    if f.ctx.modulus > f.ctx.ball_budget:
+        raise BudgetExceeded("context too large for a table-based conjugacy")
+    _require_delta_small(family, delta)
+    return f.tabulate(), g.tabulate(), [R.tabulate() for R in family.members]
 
 
 def build_conjugacy_thm1(f: DynamicMap, family: RightInverseFamily,
@@ -172,20 +206,9 @@ def build_conjugacy_thm1(f: DynamicMap, family: RightInverseFamily,
     f must admit the given contracting right-inverse family and g must be
     a delta-perturbation of f with delta below the contraction margin.
     """
-    ctx = f.ctx
-    M = ctx.modulus
-    if M > ctx.ball_budget:
-        raise BudgetExceeded("context too large for a table-based conjugacy")
-    _require_delta_small(family, delta)
-    for mp in (f, g, *family.members):
-        mp.tabulate()
-    table = [0] * M
-    corrections = []
-    for x in range(M):
-        z = _orbit_recursion(g, family, x, depth)
-        corrections.append(z)
-        table[x] = (x + z) % M
-    return ConjugacyMap(ctx, table, _max_norm(ctx, corrections), depth, "thm1")
+    _, gt, tables = _thm1_tables(f, family, g, delta)
+    table = _backward_passes(gt, family, tables, depth)
+    return ConjugacyMap(f.ctx, table, _closeness(f.ctx, table), depth, "thm1")
 
 
 def build_inverse_conjugacy_thm1(f: DynamicMap, family: RightInverseFamily,
@@ -196,22 +219,13 @@ def build_inverse_conjugacy_thm1(f: DynamicMap, family: RightInverseFamily,
     Uses the right inverses transferred from f to g along phi = g - f and
     runs the mirror recursion along f-orbits.
     """
-    ctx = f.ctx
-    M = ctx.modulus
-    if M > ctx.ball_budget:
-        raise BudgetExceeded("context too large for a table-based conjugacy")
-    _require_delta_small(family, delta)
-    for mp in (f, g, *family.members):
-        mp.tabulate()
-    phi_table = [(g(x) - f(x)) % M for x in range(M)]
-    tfam = transfer_family(family, lambda m: phi_table[m], delta)
-    table = [0] * M
-    corrections = []
-    for y in range(M):
-        z = _orbit_recursion(f, tfam, y, depth)
-        corrections.append(z)
-        table[y] = (y + z) % M
-    return ConjugacyMap(ctx, table, _max_norm(ctx, corrections), depth, "thm1.inv")
+    ft, gt, _ = _thm1_tables(f, family, g, delta)
+    M = len(ft)
+    phi = [(y - x) % M for x, y in zip(ft, gt)]
+    tables = [_transferred_table(R, phi, delta) for R in family.members]
+    table = _backward_passes(ft, family, tables, depth)
+    return ConjugacyMap(f.ctx, table, _closeness(f.ctx, table), depth,
+                        "thm1.inv")
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +336,7 @@ def build_conjugacy_thm3(R: DynamicMap, T: DynamicMap, depth: int,
             moves.append((xr - x) % M)
     else:
         _core_window_images(R, T, core, window, table, moves)
-    return ConjugacyMap(ctx, table, _max_norm(ctx, moves), depth, "thm3")
+    return ConjugacyMap(ctx, table, ctx.max_norm(moves), depth, "thm3")
 
 
 def _core_window_images(R: DynamicMap, T: DynamicMap, core: list,
@@ -414,5 +428,5 @@ def homogeneity_homeomorphism(ctx: PrecisionContext, ys: list, zs: list,
             elif (t - z) % pj == 0:
                 table[x] = (t - shift) % M
         placed.append(z)
-    moves = [(table[x] - x) % M for x in range(M)]
-    return ConjugacyMap(ctx, table, _max_norm(ctx, moves), len(ys), "homogeneity")
+    return ConjugacyMap(ctx, table, _closeness(ctx, table), len(ys),
+                        "homogeneity")

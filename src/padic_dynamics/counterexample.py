@@ -318,10 +318,8 @@ def demonstrate_non_shadowing(p: int, chart_depth: int, delta: NormValue,
     chosen_q = None
     for q in range(3, max_q + 1, 2):
         pts = _splice_orbit(chart, s_table, q)
-        defect = max(
-            (z_ctx.norm_of_int(s_table[pts[n]] - pts[n + 1])
-             for n in range(len(pts) - 1)),
-            default=z_ctx.norm_of_int(0))
+        defect = z_ctx.max_norm(
+            [s_table[pts[n]] - pts[n + 1] for n in range(len(pts) - 1)])
         if defect <= delta:
             orbit_s = pts
             chosen_q = q

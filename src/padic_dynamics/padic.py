@@ -13,6 +13,7 @@ integer exponents (see NormValue) and converted to Fraction on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -30,7 +31,7 @@ _SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
 def _check_prime(p: int) -> None:
     if p not in _SMALL_PRIMES:
         # fall back to trial division for unusual (but legal) primes
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             raise AlphabetViolation(f"{p} is not a prime")
 
 
@@ -175,6 +176,15 @@ class PrecisionContext:
             m //= self.prime
             v += 1
         return NormValue(self.prime, self.u_min + v)
+
+    def max_norm(self, values) -> NormValue:
+        """Largest norm among the scaled ints `values` (zero to resolution
+        when every value vanishes mod the modulus, or when there are none).
+
+        One gcd with the modulus p**N: its valuation is the least valuation
+        of the values, capped at N.
+        """
+        return self.norm_of_int(math.gcd(self.modulus, *values))
 
 
 @dataclass(frozen=True)

@@ -15,21 +15,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import BudgetExceeded, CoveringViolation, PrecisionExhausted
 from .dynamics import DynamicMap, RightInverseFamily
 from .padic import NormValue, PrecisionContext, norm_zero
-
-
-def _min_valuation_norm(ctx: PrecisionContext, diffs) -> NormValue:
-    """Norm of the largest difference in a list of scaled ints."""
-    best: Optional[NormValue] = None
-    for d in diffs:
-        n = ctx.norm_of_int(d)
-        if best is None or n > best:
-            best = n
-    return best if best is not None else norm_zero(ctx.prime, ctx.resolution_exp)
 
 
 @dataclass(frozen=True)
@@ -65,8 +54,8 @@ def random_pseudo_orbit(f: DynamicMap, delta: NormValue, length: int,
 def verify_pseudo_orbit(f: DynamicMap, orbit: PseudoOrbit) -> NormValue:
     """Largest defect |f(x_n) - x_{n+1}|; raises nothing, caller compares."""
     pts = orbit.points
-    return _min_valuation_norm(
-        orbit.ctx, (f(pts[n]) - pts[n + 1] for n in range(len(pts) - 1)))
+    return orbit.ctx.max_norm(
+        [f(pts[n]) - pts[n + 1] for n in range(len(pts) - 1)])
 
 
 @dataclass
@@ -113,7 +102,7 @@ def solve_shadowing(f: DynamicMap, family: RightInverseFamily,
         R = family.members[indices[n]]
         z[n] = (R((pts[n + 1] + z[n + 1]) % M) - pts[n]) % M
 
-    achieved = _min_valuation_norm(ctx, z)
+    achieved = ctx.max_norm(z)
     bound_ok = achieved <= orbit.delta.scaled(1)
 
     # forward re-verification where f's own precision loss still certifies

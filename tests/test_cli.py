@@ -48,7 +48,7 @@ def test_parse_map_spec_rejects_garbage():
 
 def test_shadow_report_and_determinism(capsys):
     argv = ["shadow", "--p", "3", "--digits", "8", "--map", "shift_zp",
-            "--delta", "p^-3", "--length", "10", "--orbits", "4",
+            "--delta", "p^-3", "--length", "4", "--orbits", "4",
             "--seed", "5", "--oracle"]
     code1, rep1 = run(capsys, argv)
     code2, rep2 = run(capsys, argv)
@@ -58,7 +58,18 @@ def test_shadow_report_and_determinism(capsys):
     assert len(rep1["records"]) == 4
     for rec in rep1["records"]:
         assert rec["bound_ok"] and rec["oracle_agrees"]
+        assert rec["oracle_agree_digits"] == 8 - 4
     assert rep1["config"]["prng"].startswith("random.Random")
+
+
+def test_shadow_oracle_with_no_digits_to_compare_exits_two(capsys):
+    # 12 steps of the shift lose all 10 digits, so the solver and oracle
+    # points would be compared on nothing
+    code, rep = run(capsys, ["shadow", "--p", "3", "--digits", "10",
+                             "--map", "shift_zp", "--delta", "p^-3",
+                             "--length", "12", "--orbits", "1", "--oracle"])
+    assert code == 2
+    assert "compare -2 digits" in rep["message"]
 
 
 def test_shadow_furno_map(capsys):
@@ -76,6 +87,7 @@ def test_conjugate_thm1(capsys):
                              "--count", "3"])
     assert code == 0
     assert all(r["injective"] and r["round_trip_ok"] for r in rep["records"])
+    assert all(r["round_trip_digits"] == 4 for r in rep["records"])
 
 
 def test_conjugate_thm3(capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from padic_dynamics.analysis import estimate_lipschitz
 from padic_dynamics.conjugacy import (
+    ConjugacyMap,
     build_conjugacy_thm1,
     build_conjugacy_thm3,
     build_inverse_conjugacy_thm1,
@@ -19,19 +20,26 @@ from padic_dynamics.conjugacy import (
     verify_conjugacy,
 )
 from padic_dynamics.dynamics import (
+    DynamicMap,
+    RightInverseFamily,
+    bijective_isometry,
     builtin_map,
+    furno_compose,
+    locally_scaling_inverses,
     make_lipschitz_perturbation,
     perturb,
     shift_right_inverses,
 )
 from padic_dynamics.errors import (
+    CoveringViolation,
     DeltaTooLarge,
     NonConvergence,
     NotClose,
+    NotInjective,
     NotProper,
     WindowTooSmall,
 )
-from padic_dynamics.padic import NormValue, PrecisionContext
+from padic_dynamics.padic import NormValue, PrecisionContext, norm_zero
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +101,108 @@ def test_thm1_depth_tightens_defect():
         defects.append(verify_conjugacy(f, g, h).max_defect)
     assert defects[0] >= defects[1] >= defects[2]
     assert defects[2] <= NormValue(3, 6)
+
+
+# ---------------------------------------------------------------------------
+# the table engine against the pointwise recursion it replaced
+# ---------------------------------------------------------------------------
+
+def _pointwise_recursion(step, family, depth):
+    """Reference: x + z_0(x) for each residue from its own step-orbit,
+    z_depth = 0 and z_n = R_{i_n}(x_{n+1} + z_{n+1}) - x_n."""
+    M = step.ctx.modulus
+    table = []
+    for x in range(M):
+        orbit = [x]
+        for _ in range(depth):
+            orbit.append(step(orbit[-1]))
+        z = 0
+        for n in range(depth - 1, -1, -1):
+            R = family.members[family.membership(orbit[n])]
+            z = (R((orbit[n + 1] + z) % M) - orbit[n]) % M
+        table.append((x + z) % M)
+    return table
+
+
+def _pointwise_closeness(ctx, table):
+    return max(ctx.norm_of_int(y - x) for x, y in enumerate(table))
+
+
+def _norm_key(n):
+    return (n.prime, n.exponent, n.bound_exp)
+
+
+def _thm1_case(p, N, k):
+    """The shift (k == 0) or the furno map S^k o w, with its right inverses."""
+    ctx = PrecisionContext(p, N)
+    if k == 0:
+        return builtin_map("shift_zp", ctx), shift_right_inverses(ctx)
+    w = bijective_isometry(ctx, "triangular", seed=k)
+    return furno_compose(w, k), locally_scaling_inverses(w, k)
+
+
+@pytest.mark.parametrize("p, N, k", [(2, 8, 0), (3, 6, 0), (5, 4, 0),
+                                     (2, 8, 1), (2, 8, 2)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_thm1_tables_match_pointwise_recursion(p, N, k, seed):
+    f, fam = _thm1_case(p, N, k)
+    ctx = f.ctx
+    M = ctx.modulus
+    delta = NormValue(p, 1)
+    phi = make_lipschitz_perturbation(ctx, "digit_local", delta, seed)
+    g = perturb(f, phi)
+    tfam = transfer_family(fam, lambda m: (g(m) - f(m)) % M, delta)
+    for depth in range(1, 7):
+        h = build_conjugacy_thm1(f, fam, g, delta, depth)
+        ref = _pointwise_recursion(g, fam, depth)
+        assert h.table == ref
+        assert _norm_key(h.closeness) == \
+            _norm_key(_pointwise_closeness(ctx, ref))
+        hinv = build_inverse_conjugacy_thm1(f, fam, g, delta, depth)
+        ref = _pointwise_recursion(f, tfam, depth)
+        assert hinv.table == ref
+        assert _norm_key(hinv.closeness) == \
+            _norm_key(_pointwise_closeness(ctx, ref))
+
+
+def test_thm1_builders_reject_non_covering_family():
+    ctx = PrecisionContext(3, 5)
+    f = builtin_map("shift_zp", ctx)
+    fam = shift_right_inverses(ctx)
+    # residues ending in digit 0 are left uncovered
+    partial = RightInverseFamily(fam.members,
+                                 lambda m: m % 3 if m % 3 else None,
+                                 False, False, fam.lip_upper)
+    delta = NormValue(3, 2)
+    g = perturb(f, make_lipschitz_perturbation(ctx, "digit_local", delta, 0))
+    for build in (build_conjugacy_thm1, build_inverse_conjugacy_thm1):
+        with pytest.raises(CoveringViolation):
+            build(f, partial, g, delta, 3)
+
+
+def test_thm1_inverse_rejects_colliding_transfer():
+    # g == 0 is no small perturbation of the shift: with phi = g - f,
+    # id + phi o R_0 sends every residue to 0, so R_0 has no transfer
+    ctx = PrecisionContext(2, 4)
+    f = builtin_map("shift_zp", ctx)
+    g = DynamicMap("zero", ctx, lambda m: 0)
+    with pytest.raises(NotInjective):
+        build_inverse_conjugacy_thm1(f, shift_right_inverses(ctx), g,
+                                     NormValue(2, 1), 2)
+
+
+def test_verify_reports_zero_defect_with_resolution_bound():
+    # the identity conjugates a map to itself; in field mode the
+    # resolution exponent differs from the digit count
+    for ctx in (PrecisionContext(3, 5), PrecisionContext(3, 4, -2, 0, "Qp")):
+        f = builtin_map("affine", ctx, v=3, w=1)
+        M = ctx.modulus
+        h = ConjugacyMap(ctx, list(range(M)),
+                         norm_zero(3, ctx.resolution_exp), 0, "identity")
+        rep = verify_conjugacy(f, f, h)
+        assert rep.max_defect.is_zero
+        assert rep.max_defect.bound_exp == ctx.resolution_exp
+        assert rep.injective and rep.residues == M
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,11 @@ def test_norm_scaled():
 # ---------------------------------------------------------------------------
 
 def test_context_rejects_composite_prime():
-    with pytest.raises(AlphabetViolation):
-        PrecisionContext(6, 4)
+    # 49 needs trial division up to its square root, 7, inclusive
+    for q in (6, 49, 1):
+        with pytest.raises(AlphabetViolation):
+            PrecisionContext(q, 4)
+    assert PrecisionContext(41, 2).modulus == 41 ** 2
 
 
 def test_zp_context_pins_window():
@@ -166,6 +169,28 @@ def test_norm_of_zero_reports_certified_bound():
     ctx = PrecisionContext(3, 4)
     n = norm(ctx.from_int(0))
     assert n.is_zero and n.bound_exp == 4
+
+
+def test_max_norm_against_valuation_oracle():
+    # signed values, values beyond the modulus, and lists that vanish at
+    # the resolution, in ring and field mode
+    from fractions import Fraction
+    rng = random.Random(9)
+    for ctx in (PrecisionContext(3, 5), PrecisionContext(2, 4, -3, 0, "Qp")):
+        p, M = ctx.prime, ctx.modulus
+        for n in range(1, 60):
+            scale = p ** rng.randrange(ctx.total_digits + 1)
+            values = [scale * rng.randrange(-2 * M, 2 * M) for _ in range(n)]
+            got = ctx.max_norm(values)
+            vals = [frac_valuation(Fraction(v % M), p) for v in values if v % M]
+            if vals:
+                assert (got.prime, got.exponent, got.bound_exp) == \
+                    (p, ctx.u_min + min(vals), None)
+            else:
+                assert got.is_zero and got.bound_exp == ctx.resolution_exp
+        for values in ([], [0, M, -3 * M]):
+            got = ctx.max_norm(values)
+            assert got.is_zero and got.bound_exp == ctx.resolution_exp
 
 
 # ---------------------------------------------------------------------------
