@@ -123,8 +123,9 @@ def _cmd_shadow(args) -> int:
     f, family = build_map(args.map, ctx)
     if family is None:
         raise PadicDynamicsError(f"map {args.map!r} has no right-inverse family")
-    # the solver and oracle points are compared on the digits that survive
-    # `length` steps of the map; with none left the comparison shows nothing
+    # the solver point must shadow as well as the oracle's best point; the
+    # errors are certified on the digits that survive `length` steps of the
+    # map, and with none left the comparison shows nothing
     agree_digits = ctx.total_digits - args.length * f.precision_loss
     if args.oracle and agree_digits < 1:
         raise PadicDynamicsError(
@@ -149,7 +150,7 @@ def _cmd_shadow(args) -> int:
             rec["oracle_error"] = _norm_str(err)
             rec["oracle_agree_digits"] = agree_digits
             rec["oracle_agrees"] = \
-                (res.point - point) % ctx.prime ** agree_digits == 0
+                shadowing.orbit_error(f, orbit, res.point) == err
             ok = ok and rec["oracle_agrees"]
         ok = ok and res.bound_ok
         records.append(rec)
@@ -172,6 +173,13 @@ def _cmd_conjugate(args) -> int:
     ok = True
     if args.kind == "thm1":
         f, family = build_map(args.map, ctx)
+        # h is certified to p^-depth only on the digits f leaves certified
+        max_depth = ctx.total_digits - f.precision_loss
+        if args.depth > max_depth:
+            raise PadicDynamicsError(
+                f"--depth {args.depth} exceeds {max_depth} = digits - "
+                f"precision loss of {f.name}: the defect cannot reach "
+                f"p^-{args.depth}; use a smaller --depth")
         for i in range(args.count):
             seed = args.seed + i
             phi = dynamics.make_lipschitz_perturbation(ctx, "digit_local",

@@ -4,9 +4,13 @@ transporting a strictly sofic binary subshift onto the p-adic integers.
 The chart identifies cylinder classes of the subshift with digit balls:
 each tree level splits a class of admissible words into p nonempty groups
 aligned to word subtrees, so two chart images are close exactly when the
-underlying words share a long prefix.  The transported shift s acts on
-the top digit block of x = a + b*p + z*p**2; the full map fixes a = 0,
-projects b = 0 down to z, and otherwise cycles b while applying s.
+underlying words share a long prefix.  The chart is built in one pass
+that records each leaf under its residue and every leaf word under that
+residue, so encoding and decoding are lookups, not tree walks.
+
+The transported shift s acts on the top digit block of x = a + b*p +
+z*p**2; the full map fixes a = 0, projects b = 0 down to z, and otherwise
+cycles b while applying s.
 
 Its right inverses R_a(x) = a + p**2 x never cover the space, and the
 pseudo-orbits assembled here exploit that: a single fault hidden `delta`
@@ -17,10 +21,11 @@ is shadowed by an honest point.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
+from operator import itemgetter
 from typing import Callable, List, Optional, Tuple
 
 from .errors import (
@@ -72,26 +77,26 @@ class _NeedMore(Exception):
 class ChartNode:
     words: list                   # sorted admissible words, equal length
     children: Optional[list]      # p child nodes, or None at a leaf
-    child_sets: Optional[list]    # frozensets for membership walks
     child_len: int                # word length inside the children
 
 
 def _split_aligned(words: list, pos: int, k: int) -> list:
-    """Partition sorted equal-length words into k nonempty blocks, each a
-    union of whole word subtrees (so every block fixes a symbol prefix)."""
+    """Partition sorted equal-length words, which all agree before `pos`,
+    into k nonempty blocks, each a union of whole word subtrees (so every
+    block fixes a symbol prefix)."""
     if k == 1:
         return [words]
-    if pos >= len(words[0]):
+    # sorted words agree up to the first position where the extremes differ
+    first, last = words[0], words[-1]
+    n = len(first)
+    while pos < n and first[pos] == last[pos]:
+        pos += 1
+    if pos == n:
         raise _NeedMore
-    classes = [list(g) for _, g in groupby(words, key=lambda w: w[pos])]
-    if len(classes) == 1:
-        return _split_aligned(words, pos + 1, k)
+    classes = [list(g) for _, g in groupby(words, key=itemgetter(pos))]
     if len(classes) >= k:
-        blocks = [[w for w in c] for c in classes[:k - 1]]
-        tail = []
-        for c in classes[k - 1:]:
-            tail.extend(c)
-        blocks.append(tail)
+        blocks = classes[:k - 1]
+        blocks.append([w for c in classes[k - 1:] for w in c])
         return blocks
     # fewer letter classes than blocks: recurse into the larger classes
     quotas = [1] * len(classes)
@@ -114,7 +119,7 @@ def _split_aligned(words: list, pos: int, k: int) -> list:
     return blocks
 
 
-def _extend_words(words: list, extensions, rounds_cap: int) -> list:
+def _extend_words(words: list, extensions) -> list:
     """One letter of growth for every word in the class."""
     grown = []
     for w in words:
@@ -129,53 +134,63 @@ def _extend_words(words: list, extensions, rounds_cap: int) -> list:
 
 @dataclass
 class CantorChart:
-    """Bijection between depth-d digit balls and subshift cylinder classes."""
+    """Bijection between depth-d digit balls and subshift cylinder classes.
+
+    `leaves[z]` is the leaf of residue z, and `index` maps every leaf word
+    to its residue; `lengths` lists the distinct leaf word lengths, most
+    common first.
+    """
 
     p: int
     depth: int
     subshift: str
     root: ChartNode
+    leaves: list = field(repr=False)
+    index: dict = field(repr=False)
+    lengths: tuple = field(repr=False)
 
     def encode(self, word: Tuple[int, ...]) -> int:
-        """Chart image of an admissible word (zero-extended as needed)."""
-        node = self.root
-        out = 0
-        pw = 1
-        for _ in range(self.depth):
-            L = node.child_len
-            target = tuple(word[:L]) + (0,) * max(0, L - len(word))
-            for i, ws in enumerate(node.child_sets):
-                if target in ws:
-                    out += i * pw
-                    break
-            else:
-                raise BadParams(f"word {word} is not admissible for this chart")
-            pw *= self.p
-            node = node.children[i]
-        return out
+        """Chart image of an admissible word (zero-extended as needed).
+
+        Leaves are disjoint cylinder sets and each leaf's words extend its
+        ancestors' blocks, so the word cut or zero-padded to a leaf word
+        length names at most one residue: the first hit is the image.
+        """
+        w = tuple(word)
+        n = len(w)
+        get = self.index.get
+        for L in self.lengths:
+            z = get(w[:L] if n >= L else w + (0,) * (L - n))
+            if z is not None:
+                return z
+        raise BadParams(f"word {word} is not admissible for this chart")
 
     def decode(self, z: int) -> Tuple[int, ...]:
         """Canonical word of the ball containing z (zero tail implied)."""
-        node = self.root
-        for _ in range(self.depth):
-            z, d = z // self.p, z % self.p
-            node = node.children[d]
-        return tuple(node.words[0])
+        return self.leaves[z % len(self.leaves)].words[0]
 
 
 def build_cantor_chart(subshift: str, p: int, depth: int) -> CantorChart:
-    """Recursively split cylinder classes into p groups down to `depth`."""
+    """Recursively split cylinder classes into p groups down to `depth`,
+    indexing each leaf by its residue sum(child index * p**level)."""
     if subshift == "even":
-        extensions = lambda w: _even_extensions(w)
+        extensions = _even_extensions
     elif subshift == "full":
         extensions = _full_extensions_factory(p)
     else:
         raise BadParams(f"unknown subshift {subshift!r}")
+    if depth < 1:
+        raise BadParams("chart depth must be positive")
+    leaves = [None] * p ** depth
+    index = {}
 
-    def build(words: list, level: int) -> ChartNode:
+    def build(words: list, level: int, residue: int) -> ChartNode:
         if level == depth:
-            return ChartNode(words, None, None, len(words[0]) if words else 0)
-        work = list(words)
+            node = ChartNode(words, None, len(words[0]))
+            leaves[residue] = node
+            index.update(dict.fromkeys(words, residue))
+            return node
+        work = words
         for _round in range(4 * p + 8):
             if len(work) >= p:
                 try:
@@ -183,24 +198,25 @@ def build_cantor_chart(subshift: str, p: int, depth: int) -> CantorChart:
                     break
                 except _NeedMore:
                     pass
-            work = _extend_words(work, extensions, 4 * p + 8)
+            work = _extend_words(work, extensions)
         else:
             raise ChartExhausted(
                 f"cannot split class {words[:2]}... into {p} groups")
-        children = [build(b, level + 1) for b in blocks]
-        return ChartNode(work, children,
-                         [frozenset(map(tuple, b)) for b in blocks],
-                         len(work[0]))
+        step = p ** level
+        children = [build(b, level + 1, residue + i * step)
+                    for i, b in enumerate(blocks)]
+        return ChartNode(work, children, len(work[0]))
 
-    seed = _extend_words([()], extensions, 4)
-    root = build(seed, 0)
-    return CantorChart(p, depth, subshift, root)
+    root = build(_extend_words([()], extensions), 0, 0)
+    counts = Counter(len(leaf.words[0]) for leaf in leaves)
+    lengths = tuple(L for L, _ in counts.most_common())
+    return CantorChart(p, depth, subshift, root, leaves, index, lengths)
 
 
 def transported_shift_table(chart: CantorChart) -> list:
     """s = chart o shift o chart^-1 as a table on depth-digit residues."""
-    M = chart.p ** chart.depth
-    return [chart.encode(chart.decode(z)[1:]) for z in range(M)]
+    encode = chart.encode
+    return [encode(leaf.words[0][1:]) for leaf in chart.leaves]
 
 
 # ---------------------------------------------------------------------------

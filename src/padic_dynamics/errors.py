@@ -71,10 +71,6 @@ class NotInjective(PadicDynamicsError):
     """Map is not injective at the context resolution."""
 
 
-class BiLipschitzViolation(PadicDynamicsError):
-    """Map fails the two-sided Lipschitz inequality needed here."""
-
-
 class WindowTooSmall(PadicDynamicsError):
     """Bi-infinite window too short for the requested output precision."""
 

@@ -14,12 +14,14 @@ integer exponents (see NormValue) and converted to Fraction on demand.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import (
     AlphabetViolation,
+    BadParams,
     BudgetExceeded,
     ParseError,
     WindowViolation,
@@ -35,20 +37,35 @@ def _check_prime(p: int) -> None:
             raise AlphabetViolation(f"{p} is not a prime")
 
 
-@dataclass(frozen=True, order=True)
+def _norm_comparison(op):
+    """A NormValue comparison by sort_key; norms of different primes do
+    not compare."""
+    def method(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if other.prime != self.prime:
+            raise BadParams(f"cannot compare norms of different primes: "
+                            f"{self!r} (p = {self.prime}) and {other!r} "
+                            f"(p = {other.prime})")
+        return op(self.sort_key, other.sort_key)
+    return method
+
+
+@dataclass(frozen=True, eq=False)
 class NormValue:
     """A p-adic absolute value, |x| = p**(-exponent), kept exactly.
 
     ``exponent is None`` encodes "zero to known precision": the value is
     indistinguishable from 0 at the current truncation and ``bound_exp``
     records the certified bound |x| <= p**(-bound_exp).  Ordering treats
-    such a zero as strictly smaller than every definite norm.
+    such a zero as strictly smaller than every definite norm.  Comparing
+    norms of different primes raises BadParams.
     """
 
     sort_key: tuple = field(init=False, repr=False)
-    prime: int = field(compare=False)
-    exponent: Optional[int] = field(compare=False, default=None)
-    bound_exp: Optional[int] = field(compare=False, default=None)
+    prime: int
+    exponent: Optional[int] = None
+    bound_exp: Optional[int] = None
 
     def __post_init__(self):
         if self.exponent is None:
@@ -56,6 +73,15 @@ class NormValue:
         else:
             key = (1, -self.exponent)
         object.__setattr__(self, "sort_key", key)
+
+    __eq__ = _norm_comparison(operator.eq)
+    __lt__ = _norm_comparison(operator.lt)
+    __le__ = _norm_comparison(operator.le)
+    __gt__ = _norm_comparison(operator.gt)
+    __ge__ = _norm_comparison(operator.ge)
+
+    def __hash__(self):
+        return hash((self.prime, self.sort_key))
 
     @property
     def is_zero(self) -> bool:
@@ -157,7 +183,6 @@ class PrecisionContext:
             if r:
                 raise WindowViolation("integer not representable at this base exponent")
             m = q
-        n = self.modulus // self.prime ** (u - self.u_min)
         digits = []
         while m:
             m, d = divmod(m, self.prime)

@@ -122,6 +122,17 @@ def solve_shadowing(f: DynamicMap, family: RightInverseFamily,
                            achieved, bound_ok, checked, max(cert, 0))
 
 
+def orbit_error(f: DynamicMap, orbit: PseudoOrbit, x: int) -> NormValue:
+    """max_n |f^n(x) - x_n|, the error brute_force_shadow minimises (without
+    respect_loss)."""
+    pts = orbit.points
+    diffs = [x - pts[0]]
+    for xn in pts[1:]:
+        x = f(x)
+        diffs.append(x - xn)
+    return orbit.ctx.max_norm(diffs)
+
+
 def brute_force_shadow(f: DynamicMap, orbit: PseudoOrbit,
                        respect_loss: bool = False) -> tuple:
     """Exhaustive oracle: the residue minimising max_n |f^n(x) - x_n|.

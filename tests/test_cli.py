@@ -72,6 +72,19 @@ def test_shadow_oracle_with_no_digits_to_compare_exits_two(capsys):
     assert "compare -2 digits" in rep["message"]
 
 
+def test_shadow_oracle_accepts_tied_best_points(capsys):
+    # after one step the orbit pins few digits, so many residues shadow
+    # equally well; the solver point must match the oracle's error, not
+    # its (smallest) residue
+    code, rep = run(capsys, ["shadow", "--p", "3", "--digits", "10",
+                             "--map", "shift_zp", "--delta", "p^-4",
+                             "--length", "1", "--orbits", "10", "--oracle"])
+    assert code == 0 and rep["summary"]["ok"]
+    for rec in rep["records"]:
+        assert rec["oracle_agrees"]
+        assert rec["oracle_error"] == rec["achieved_bound"]
+
+
 def test_shadow_furno_map(capsys):
     code, rep = run(capsys, ["shadow", "--p", "2", "--digits", "8",
                              "--map", "furno(k=2, seed=3)",
@@ -88,6 +101,17 @@ def test_conjugate_thm1(capsys):
     assert code == 0
     assert all(r["injective"] and r["round_trip_ok"] for r in rep["records"])
     assert all(r["round_trip_digits"] == 4 for r in rep["records"])
+
+
+def test_conjugate_thm1_depth_beyond_certified_digits_exits_two(capsys):
+    # the shift loses one digit, so a defect of p^-6 is out of reach at
+    # 6 digits
+    code, rep = run(capsys, ["conjugate", "--kind", "thm1", "--p", "3",
+                             "--digits", "6", "--map", "shift_zp",
+                             "--delta", "p^-2", "--depth", "6",
+                             "--count", "1"])
+    assert code == 2
+    assert "exceeds 5" in rep["message"]
 
 
 def test_conjugate_thm3(capsys):

@@ -2,6 +2,8 @@
 piecewise map and its non-covering right inverses, and the pseudo-orbit
 that no true orbit shadows."""
 
+import random
+
 import pytest
 
 from padic_dynamics.counterexample import (
@@ -49,23 +51,106 @@ def test_chart_leaves_are_admissible():
 
 def test_chart_tree_splits_are_partitions():
     """Every internal node splits its word class into p nonempty blocks
-    that partition it, and each child owns exactly its block."""
+    that partition it; a child's block is its words cut to child_len."""
     chart = build_cantor_chart("even", 3, 5)
 
     def walk(node):
         if node.children is None:
             return
         union = set()
-        for child, block in zip(node.children, node.child_sets):
+        for child in node.children:
+            block = {tuple(w[:node.child_len]) for w in child.words}
             assert block, "empty split block"
             assert not (union & block)
             union |= block
-            for w in child.words:
-                assert tuple(w[:node.child_len]) in block
             walk(child)
         assert union == set(map(tuple, node.words))
 
     walk(chart.root)
+
+
+# Reference: the level-by-level walk that encode and decode replaced.  At
+# each level the word, cut or zero-padded to the children's word length,
+# must lie in exactly one child's block.
+
+def _reference_blocks(chart):
+    blocks, stack = {}, [chart.root]
+    while stack:
+        node = stack.pop()
+        if node.children is not None:
+            L = node.child_len
+            blocks[id(node)] = [frozenset(tuple(w[:L]) for w in c.words)
+                                for c in node.children]
+            stack.extend(node.children)
+    return blocks
+
+
+def reference_encode(chart, blocks, word):
+    node, out, pw = chart.root, 0, 1
+    for _ in range(chart.depth):
+        L = node.child_len
+        target = tuple(word[:L]) + (0,) * max(0, L - len(word))
+        for i, ws in enumerate(blocks[id(node)]):
+            if target in ws:
+                out += i * pw
+                break
+        else:
+            raise BadParams(f"word {word} is not admissible for this chart")
+        pw *= chart.p
+        node = node.children[i]
+    return out
+
+
+def reference_decode(chart, z):
+    node = chart.root
+    for _ in range(chart.depth):
+        z, d = z // chart.p, z % chart.p
+        node = node.children[d]
+    return tuple(node.words[0])
+
+
+def _outcome(encode, word):
+    try:
+        return encode(word)
+    except BadParams as exc:
+        return ("BadParams", str(exc))
+
+
+@pytest.mark.parametrize("p,depth", [(3, d) for d in range(1, 9)]
+                         + [(5, d) for d in range(1, 5)])
+@pytest.mark.parametrize("subshift", ["even", "full"])
+def test_indexed_chart_matches_reference_walk(subshift, p, depth):
+    """Tables, decode and encode (results and errors) are bit-identical
+    to the level-by-level walk."""
+    chart = build_cantor_chart(subshift, p, depth)
+    blocks = _reference_blocks(chart)
+    M = p ** depth
+    for z in range(-2, M + 2):
+        assert chart.decode(z) == reference_decode(chart, z)
+    assert transported_shift_table(chart) == [
+        reference_encode(chart, blocks, reference_decode(chart, z)[1:])
+        for z in range(M)]
+
+    rng = random.Random(1000 * p + depth)
+    letters = 2 if subshift == "even" else p
+    words = [reference_decode(chart, rng.randrange(M)) for _ in range(300)]
+    words += [w[:rng.randrange(len(w) + 1)] for w in words[:200]]
+    words += [w + tuple(rng.randrange(letters) for _ in range(rng.randrange(6)))
+              for w in words[:200]]
+    words += [tuple(rng.randrange(letters) for _ in range(rng.randrange(30)))
+              for _ in range(300)]
+    words += [list(w) for w in words[:20]] + [(), (p,), (0, p), (1,) * 7]
+    errors = 0
+    for w in words:
+        got = _outcome(chart.encode, w)
+        assert got == _outcome(lambda u: reference_encode(chart, blocks, u), w)
+        errors += isinstance(got, tuple)
+    assert 0 < errors < len(words)
+
+
+def test_chart_depth_must_be_positive():
+    with pytest.raises(BadParams):
+        build_cantor_chart("even", 3, 0)
 
 
 def test_chart_distance_tracks_shared_prefix():

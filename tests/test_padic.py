@@ -11,6 +11,7 @@ import pytest
 
 from padic_dynamics.errors import (
     AlphabetViolation,
+    BadParams,
     BudgetExceeded,
     ParseError,
     WindowViolation,
@@ -72,6 +73,21 @@ def test_norm_ordering_total():
     zero = norm_zero(p, 8)
     assert zero < small < big < one
     assert sorted([one, zero, big, small]) == [zero, small, big, one]
+
+
+def test_norms_of_different_primes_do_not_compare():
+    two, three = NormValue(2, 3), NormValue(3, 3)
+    for compare in (lambda a, b: a == b, lambda a, b: a != b,
+                    lambda a, b: a < b, lambda a, b: a <= b,
+                    lambda a, b: a > b, lambda a, b: a >= b):
+        with pytest.raises(BadParams):
+            compare(two, three)
+    with pytest.raises(BadParams):
+        norm_zero(2, 4) < norm_zero(3, 4)
+    # same prime still compares, and norms stay hashable
+    assert NormValue(3, 3) == NormValue(3, 3) != NormValue(3, 2)
+    assert len({two, three, NormValue(3, 3)}) == 2
+    assert two != 3 and not (two == "p^-3")
 
 
 def test_norm_as_fraction():

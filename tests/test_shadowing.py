@@ -21,6 +21,7 @@ from padic_dynamics.padic import NormValue, PrecisionContext
 from padic_dynamics.shadowing import (
     PseudoOrbit,
     brute_force_shadow,
+    orbit_error,
     random_pseudo_orbit,
     solve_shadowing,
     verify_pseudo_orbit,
@@ -93,6 +94,18 @@ def test_solver_matches_brute_force_oracle():
         assert err <= res.achieved_bound or err <= delta
         # the expansive shift pins the low digits of any shadow point
         assert (res.point - point) % 2 ** (ctx.total_digits - L) == 0
+
+
+def test_orbit_error_scores_as_the_oracle_does():
+    """orbit_error of the oracle's point is the oracle's error, and no
+    residue scores below it."""
+    ctx = PrecisionContext(3, 5)
+    f = builtin_map("shift_zp", ctx)
+    for seed in range(6):
+        orbit = random_pseudo_orbit(f, NormValue(3, 2), 1 + seed % 3, seed)
+        point, err = brute_force_shadow(f, orbit)
+        assert orbit_error(f, orbit, point) == err
+        assert min(orbit_error(f, orbit, x) for x in range(ctx.modulus)) == err
 
 
 def test_brute_force_loss_aware_mode_ignores_uncertified_digits():
