@@ -4,8 +4,9 @@ openness of images and expansivity certificates.
 All estimators are exact at the context resolution: distances are powers
 of p computed from digit valuations, with output valuations capped at the
 map's certified digit count so precision loss can never fabricate a
-contraction.  Exhaustive scans are used whenever the pair count fits the
-budget; otherwise seeded sampling is applied and flagged in the result.
+contraction.  The pair scans cover all pairs of residues when there are at
+most PAIR_BUDGET of them (up to 2,896 residues); otherwise they scan SAMPLE
+seeded pairs and flag the result as not exhaustive.
 """
 
 from __future__ import annotations
@@ -14,42 +15,23 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import BudgetExceeded
 from .dynamics import DynamicMap
-from .padic import NormValue
+from .padic import NormValue, valuation
+
+PAIR_BUDGET = 1 << 22
+SAMPLE = 20000
 
 
-def _valuation(m: int, p: int, cap: int) -> int:
-    if m == 0:
-        return cap
-    v = 0
-    while m % p == 0 and v < cap:
-        m //= p
-        v += 1
-    return v
-
-
-def _pair_iter(f: DynamicMap, inputs: Optional[Iterable[int]],
-               pair_budget: int, sample: int, seed: int):
-    """Yield (exhaustive, iterator of (x, y) pairs)."""
-    ctx = f.ctx
-    if inputs is None:
-        if ctx.modulus <= 1 << 14:
-            inputs = range(ctx.modulus)
-        else:
-            rng = random.Random(seed)
-            M = ctx.modulus
-            return False, ((rng.randrange(M), rng.randrange(M))
-                           for _ in range(sample))
-    inputs = list(inputs)
-    npairs = len(inputs) * (len(inputs) - 1) // 2
-    if npairs <= pair_budget:
-        return True, combinations(inputs, 2)
+def _pairs(M: int, seed: int):
+    """(exhaustive, iterator of (x, y) pairs of residues mod M)."""
+    if M * (M - 1) // 2 <= PAIR_BUDGET:
+        return True, combinations(range(M), 2)
     rng = random.Random(seed)
-    return False, ((rng.choice(inputs), rng.choice(inputs))
-                   for _ in range(sample))
+    return False, ((rng.randrange(M), rng.randrange(M))
+                   for _ in range(SAMPLE))
 
 
 @dataclass
@@ -62,9 +44,7 @@ class LipschitzEstimate:
     witness_high: Optional[tuple] = None
 
 
-def estimate_lipschitz(f: DynamicMap, inputs: Optional[Iterable[int]] = None,
-                       pair_budget: int = 1 << 22, sample: int = 20000,
-                       seed: int = 0) -> LipschitzEstimate:
+def estimate_lipschitz(f: DynamicMap, seed: int = 0) -> LipschitzEstimate:
     """Scan distance ratios |f(x)-f(y)| / |x-y| over input pairs.
 
     Output valuations are capped at the certified digit count; pairs whose
@@ -75,49 +55,52 @@ def estimate_lipschitz(f: DynamicMap, inputs: Optional[Iterable[int]] = None,
     p, D = ctx.prime, ctx.total_digits
     cap = D - f.precision_loss
     M = ctx.modulus
-    exhaustive, pairs = _pair_iter(f, inputs, pair_budget, sample, seed)
-    c1 = c2 = None
+    exhaustive, pairs = _pairs(M, seed)
+    # the ratio of a pair is p**e with e = vin - vout, so the extreme
+    # ratios are the extreme exponents
+    e1 = e2 = None
     wlow = whigh = None
     count = 0
     for x, y in pairs:
         if x == y:
             continue
-        vin = _valuation((x - y) % M, p, D)
-        vout = _valuation((f(x) - f(y)) % M, p, cap)
-        ratio = Fraction(p) ** (vin - vout)
+        vin = valuation((x - y) % M, p, D)
+        vout = valuation((f(x) - f(y)) % M, p, cap)
+        e = vin - vout
         count += 1
-        if c1 is None or ratio < c1:
-            c1, wlow = ratio, (x, y)
+        if e1 is None or e < e1:
+            e1, wlow = e, (x, y)
         # images equal at certified resolution certify no upper ratio:
         # the true output valuation may exceed the cap
-        if vout < cap and (c2 is None or ratio > c2):
-            c2, whigh = ratio, (x, y)
+        if vout < cap and (e2 is None or e > e2):
+            e2, whigh = e, (x, y)
+    c1 = None if e1 is None else Fraction(p) ** e1
+    c2 = None if e2 is None else Fraction(p) ** e2
     return LipschitzEstimate(c1, c2, exhaustive, count, wlow, whigh)
 
 
 def check_locally_scaling(f: DynamicMap, k: int, m_exp: int,
-                          inputs: Optional[Iterable[int]] = None,
-                          pair_budget: int = 1 << 22, sample: int = 20000,
                           seed: int = 0) -> tuple:
     """Verify |f(x)-f(y)| == p**-m_exp * |x-y| on pairs with |x-y| <= p**-k.
 
     Returns (ok, witness); comparisons beyond the certified output digits
-    are skipped rather than falsified.
+    are skipped rather than falsified.  Above PAIR_BUDGET pairs only SAMPLE
+    seeded pairs are checked, so ok is then not a proof.
     """
     ctx = f.ctx
     p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
     cap = D - f.precision_loss
-    _, pairs = _pair_iter(f, inputs, pair_budget, sample, seed)
+    _, pairs = _pairs(M, seed)
     for x, y in pairs:
         if x == y:
             continue
-        vin = _valuation((x - y) % M, p, D)
+        vin = valuation((x - y) % M, p, D)
         if vin < k - ctx.u_min:
             continue
         expected = vin + m_exp
         if expected >= cap:
             continue
-        vout = _valuation((f(x) - f(y)) % M, p, cap)
+        vout = valuation((f(x) - f(y)) % M, p, cap)
         if vout != expected:
             return False, (x, y)
     return True, None
@@ -127,36 +110,34 @@ def check_locally_scaling(f: DynamicMap, k: int, m_exp: int,
 class ScalingProfile:
     table: dict                    # input valuation -> output valuation
     consistent: bool
+    exhaustive: bool               # all pairs scanned, not a sample
     witness: Optional[tuple] = None
 
 
-def scaling_profile(f: DynamicMap, inputs: Optional[Iterable[int]] = None,
-                    pair_budget: int = 1 << 22, sample: int = 20000,
-                    seed: int = 0) -> ScalingProfile:
+def scaling_profile(f: DynamicMap, seed: int = 0) -> ScalingProfile:
     """Tabulate kappa(|x-y|) = |f(x)-f(y)|; consistent when single-valued."""
     ctx = f.ctx
     p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
     cap = D - f.precision_loss
-    _, pairs = _pair_iter(f, inputs, pair_budget, sample, seed)
+    exhaustive, pairs = _pairs(M, seed)
     table = {}
     for x, y in pairs:
         if x == y:
             continue
-        vin = _valuation((x - y) % M, p, D)
-        vout = _valuation((f(x) - f(y)) % M, p, cap)
+        vin = valuation((x - y) % M, p, D)
+        vout = valuation((f(x) - f(y)) % M, p, cap)
         if vout >= cap:
             continue        # below certified resolution; unusable
         prev = table.get(vin)
         if prev is None:
             table[vin] = vout
         elif prev != vout:
-            return ScalingProfile(table, False, (x, y))
-    return ScalingProfile(table, True)
+            return ScalingProfile(table, False, exhaustive, (x, y))
+    return ScalingProfile(table, True, exhaustive)
 
 
-def image_openness(f: DynamicMap,
-                   inputs: Optional[Iterable[int]] = None) -> Optional[NormValue]:
-    """Largest rho = p**-n0 with f(inputs) a union of radius-rho balls.
+def image_openness(f: DynamicMap) -> Optional[NormValue]:
+    """Largest rho = p**-n0 with the image of f a union of radius-rho balls.
 
     Scans n0 up to two digits short of the certified resolution; radii
     within that margin are truncation artifacts and yield None instead.
@@ -164,11 +145,9 @@ def image_openness(f: DynamicMap,
     ctx = f.ctx
     p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
     cap = D - f.precision_loss
-    if inputs is None:
-        if M > ctx.ball_budget:
-            raise BudgetExceeded("context too large for image enumeration")
-        inputs = range(M)
-    image = {f(x) % M for x in inputs}
+    if M > ctx.ball_budget:
+        raise BudgetExceeded("context too large for image enumeration")
+    image = {f(x) % M for x in range(M)}
     for n0 in range(0, cap - 1):
         step = p ** n0
         coset_size = M // step
@@ -182,8 +161,6 @@ def image_openness(f: DynamicMap,
 
 
 def expansivity_constant(f: DynamicMap, horizon: int,
-                         inputs: Optional[Iterable[int]] = None,
-                         pair_budget: int = 1 << 22, sample: int = 20000,
                          seed: int = 0) -> tuple:
     """Horizon-limited expansivity certificate.
 
@@ -192,19 +169,19 @@ def expansivity_constant(f: DynamicMap, horizon: int,
     """
     ctx = f.ctx
     p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
-    _, pairs = _pair_iter(f, inputs, pair_budget, sample, seed)
+    _, pairs = _pairs(M, seed)
     worst_v = None
     witness = None
     for x, y in pairs:
         if x == y:
             continue
         a, b = x, y
-        best_v = _valuation((a - b) % M, p, D)
+        best_v = valuation((a - b) % M, p, D)
         for _ in range(horizon):
             if worst_v is not None and best_v <= worst_v:
                 break
             a, b = f(a), f(b)
-            v = _valuation((a - b) % M, p, D)
+            v = valuation((a - b) % M, p, D)
             if v < best_v:
                 best_v = v
         if worst_v is None or best_v > worst_v:

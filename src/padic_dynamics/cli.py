@@ -277,6 +277,7 @@ def _cmd_analyze(args) -> int:
             prof = analysis.scaling_profile(f, seed=args.seed)
             records["scaling"] = {
                 "consistent": prof.consistent,
+                "exhaustive": prof.exhaustive,
                 "profile": {str(k): v for k, v in sorted(prof.table.items())},
             }
             ok = ok and prof.consistent

@@ -24,7 +24,6 @@ each taken as one gcd by PrecisionContext.max_norm.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -42,17 +41,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .dynamics import DynamicMap, RightInverseFamily
-from .padic import NormValue, PrecisionContext
-
-
-def _val(m: int, p: int, cap: int) -> int:
-    if m == 0:
-        return cap
-    v = 0
-    while m % p == 0 and v < cap:
-        m //= p
-        v += 1
-    return v
+from .padic import NormValue, PrecisionContext, valuation
 
 
 @dataclass
@@ -138,8 +127,7 @@ def transfer_family(family: RightInverseFamily, phi: Callable[[int], int],
     members = tuple(transfer_right_inverse(R, phi, delta)
                     for R in family.members)
     lip = members[0].lip_upper
-    return RightInverseFamily(members, family.membership, family.covering,
-                              family.disjoint_open, lip)
+    return RightInverseFamily(members, family.membership, family.covering, lip)
 
 
 def _transferred_table(R: DynamicMap, phi: list, delta: NormValue) -> list:
@@ -413,7 +401,7 @@ def homogeneity_homeomorphism(ctx: PrecisionContext, ys: list, zs: list,
         if w == z:
             placed.append(z)
             continue
-        j = _val((w - z) % M, p, D) + 1      # balls of radius p^-j are disjoint
+        j = valuation((w - z) % M, p, D) + 1  # balls of radius p^-j are disjoint
         while any((t - w) % (p ** j) == 0 or (t - z) % (p ** j) == 0
                   for t in placed):
             j += 1

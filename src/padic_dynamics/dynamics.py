@@ -22,7 +22,10 @@ from .errors import (
     UnknownMap,
     WindowViolation,
 )
-from .padic import NormValue, PAdic, PrecisionContext, norm_from_exp
+from .padic import NormValue, PAdic, PrecisionContext, valuation
+
+# seeded pairs check_isometry samples on contexts too large to tabulate
+CHECK_SAMPLE = 4096
 
 
 @dataclass
@@ -101,16 +104,6 @@ def _as_scaled(ctx: PrecisionContext, value) -> int:
     raise BadParams(f"expected int or PAdic parameter, got {type(value).__name__}")
 
 
-def _valuation(m: int, p: int, cap: int) -> int:
-    if m == 0:
-        return cap
-    v = 0
-    while m % p == 0 and v < cap:
-        m //= p
-        v += 1
-    return v
-
-
 # ---------------------------------------------------------------------------
 # bijective isometries (building blocks for locally scaling maps)
 # ---------------------------------------------------------------------------
@@ -169,13 +162,13 @@ def bijective_isometry(ctx: PrecisionContext, kind: str, seed: int = 0) -> Dynam
     raise UnknownMap(f"unknown isometry kind {kind!r}")
 
 
-def check_isometry(w: DynamicMap, sample: int = 4096, seed: int = 0) -> None:
+def check_isometry(w: DynamicMap) -> None:
     """Raise NotBijective / NotIsometry unless w is a bijective isometry.
 
     Exhaustive for tabulable contexts: w is an isometry exactly when, for
     every level j, it induces a well-defined bijection on residues mod p**j
     (two points first differing at digit j then stay distinguished there).
-    Falls back to seeded pair sampling on huge contexts.
+    Falls back to CHECK_SAMPLE seeded pairs on huge contexts.
     """
     ctx = w.ctx
     p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
@@ -199,8 +192,8 @@ def check_isometry(w: DynamicMap, sample: int = 4096, seed: int = 0) -> None:
                 raise NotIsometry(
                     f"{w.name} collapses two radius p^-{j} balls")
         return
-    rng = random.Random(seed)
-    for _ in range(sample):
+    rng = random.Random(0)
+    for _ in range(CHECK_SAMPLE):
         x, y = rng.randrange(M), rng.randrange(M)
         if x == y:
             continue
@@ -238,7 +231,7 @@ def builtin_map(name: str, ctx: PrecisionContext, **params) -> DynamicMap:
         w = _as_scaled(ctx, params.get("w", 0))
         if v % M == 0:
             raise BadParams("affine coefficient v must be nonzero at resolution")
-        mv = _valuation(v, p, D)
+        mv = valuation(v, p, D)
         lip = _pow_norm(p, ctx.u_min + mv)
         return DynamicMap("affine", ctx, lambda m, v=v, w=w, M=M: (v * m + w) % M,
                           0, lip, lip, {"v": v, "w": w, "val": mv})
@@ -317,8 +310,8 @@ def builtin_map(name: str, ctx: PrecisionContext, **params) -> DynamicMap:
         u = _as_scaled(ctx, params.get("u"))
         v = _as_scaled(ctx, params.get("v"))
         w = _as_scaled(ctx, params.get("w", 0))
-        vu = _valuation(u, p, D) + ctx.u_min
-        vv = _valuation(v, p, D) + ctx.u_min
+        vu = valuation(u, p, D) + ctx.u_min
+        vv = valuation(v, p, D) + ctx.u_min
         if not (vv > vu > 0):
             raise BadParams("need 0 < |v| < |u| < 1 (valuations v > u > 0)")
         pw_frac = p ** W
@@ -465,7 +458,6 @@ class RightInverseFamily:
     members: tuple
     membership: Callable[[int], Optional[int]]
     covering: bool
-    disjoint_open: bool
     lip_upper: Fraction
 
     def __len__(self):
@@ -479,16 +471,15 @@ def shift_right_inverses(ctx: PrecisionContext) -> RightInverseFamily:
         DynamicMap(f"R[{i}]", ctx, lambda m, i=i, p=p, M=M: (i + p * m) % M,
                    0, Fraction(1, p), Fraction(1, p), {"i": i})
         for i in range(p))
-    return RightInverseFamily(members, lambda m, p=p: m % p, True, True,
+    return RightInverseFamily(members, lambda m, p=p: m % p, True,
                               Fraction(1, p))
 
 
-def furno_compose(w: DynamicMap, k: int, check: bool = True) -> DynamicMap:
+def furno_compose(w: DynamicMap, k: int) -> DynamicMap:
     """The (p**-k, p**k) locally scaling map S^k o w for a bijective isometry w."""
     if k < 1:
         raise BadParams("need k >= 1")
-    if check:
-        check_isometry(w)
+    check_isometry(w)
     ctx = w.ctx
     pk = ctx.prime ** k
     f = DynamicMap(f"furno[{k},{w.name}]", ctx,
@@ -519,7 +510,7 @@ def locally_scaling_inverses(w: DynamicMap, k: int,
                    0, Fraction(1, pk), Fraction(1, pk), {"a": a})
         for a in range(pk))
     return RightInverseFamily(members, lambda m, pk=pk, table=table: table[m] % pk,
-                              True, True, Fraction(1, pk))
+                              True, Fraction(1, pk))
 
 
 def left_inverse_for(R: DynamicMap) -> DynamicMap:

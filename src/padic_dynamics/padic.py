@@ -37,6 +37,17 @@ def _check_prime(p: int) -> None:
             raise AlphabetViolation(f"{p} is not a prime")
 
 
+def valuation(m: int, p: int, cap: int) -> int:
+    """The p-adic valuation of the integer m, capped at cap (cap for m == 0)."""
+    if m == 0:
+        return cap
+    v = 0
+    while m % p == 0 and v < cap:
+        m //= p
+        v += 1
+    return v
+
+
 def _norm_comparison(op):
     """A NormValue comparison by sort_key; norms of different primes do
     not compare."""
@@ -57,9 +68,12 @@ class NormValue:
 
     ``exponent is None`` encodes "zero to known precision": the value is
     indistinguishable from 0 at the current truncation and ``bound_exp``
-    records the certified bound |x| <= p**(-bound_exp).  Ordering treats
-    such a zero as strictly smaller than every definite norm.  Comparing
-    norms of different primes raises BadParams.
+    records the certified bound |x| <= p**(-bound_exp).  Zeros to
+    precision are equal to one another, with equal hashes, whatever their
+    bound_exp: the bound says how finely zero was certified, not which
+    value it is.  Ordering treats such a zero as strictly smaller than
+    every definite norm.  Comparing norms of different primes raises
+    BadParams.
     """
 
     sort_key: tuple = field(init=False, repr=False)
@@ -196,11 +210,8 @@ class PrecisionContext:
         m %= self.modulus
         if m == 0:
             return norm_zero(self.prime, self.resolution_exp)
-        v = 0
-        while m % self.prime == 0:
-            m //= self.prime
-            v += 1
-        return NormValue(self.prime, self.u_min + v)
+        return NormValue(self.prime,
+                         self.u_min + valuation(m, self.prime, self.total_digits))
 
     def max_norm(self, values) -> NormValue:
         """Largest norm among the scaled ints `values` (zero to resolution

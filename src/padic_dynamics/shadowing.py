@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, CoveringViolation, PrecisionExhausted
 from .dynamics import DynamicMap, RightInverseFamily
-from .padic import NormValue, PrecisionContext, norm_zero
+from .padic import NormValue, PrecisionContext, norm_zero, valuation
 
 
 @dataclass(frozen=True)
@@ -153,25 +153,17 @@ def brute_force_shadow(f: DynamicMap, orbit: PseudoOrbit,
     L = len(pts) - 1
     loss = f.precision_loss if respect_loss else 0
 
-    def valuation(m, cert=D):
-        if m == 0:
-            return D
-        v = 0
-        while m % p == 0:
-            m //= p
-            v += 1
-        return v if v < cert else D
-
     best_point, best_minval = 0, -1
     for x in range(M):
         y = x
-        minval = valuation((y - pts[0]) % M)
+        minval = valuation((y - pts[0]) % M, p, D)
         for n in range(L):
             if minval <= best_minval:
                 break
             y = f(y)
-            v = valuation((y - pts[n + 1]) % M, D - (n + 1) * loss)
-            if v < minval:
+            v = valuation((y - pts[n + 1]) % M, p, D)
+            # a difference only in the uncertified digits is no error
+            if v < minval and v < D - (n + 1) * loss:
                 minval = v
         if minval > best_minval:
             best_minval = minval

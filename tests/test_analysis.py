@@ -1,10 +1,13 @@
 """Metric estimator tests: exact Lipschitz scans, scaling profiles,
 image openness and expansivity certificates."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from padic_dynamics import analysis
 from padic_dynamics.analysis import (
     check_locally_scaling,
     estimate_lipschitz,
@@ -186,3 +189,104 @@ def test_expansivity_contraction_never_separates():
     const, witness = expansivity_constant(R, horizon=6)
     assert witness is not None
     assert const == NormValue(3, ctx.total_digits - 1)
+
+
+# ---------------------------------------------------------------------------
+# the exponent-only scan against the Fraction-per-pair reference
+# ---------------------------------------------------------------------------
+
+def _ref_valuation(m, p, cap):
+    if m == 0:
+        return cap
+    v = 0
+    while m % p == 0 and v < cap:
+        m //= p
+        v += 1
+    return v
+
+
+def _ref_pair_iter(f, inputs, pair_budget, sample, seed):
+    """The pair source before the scans took the residue count alone."""
+    ctx = f.ctx
+    if inputs is None:
+        if ctx.modulus <= 1 << 14:
+            inputs = range(ctx.modulus)
+        else:
+            rng = random.Random(seed)
+            M = ctx.modulus
+            return False, ((rng.randrange(M), rng.randrange(M))
+                           for _ in range(sample))
+    inputs = list(inputs)
+    npairs = len(inputs) * (len(inputs) - 1) // 2
+    if npairs <= pair_budget:
+        return True, combinations(inputs, 2)
+    rng = random.Random(seed)
+    return False, ((rng.choice(inputs), rng.choice(inputs))
+                   for _ in range(sample))
+
+
+def _ref_estimate_lipschitz(f, seed=0):
+    """estimate_lipschitz with one Fraction ratio per pair."""
+    ctx = f.ctx
+    p, D = ctx.prime, ctx.total_digits
+    cap = D - f.precision_loss
+    M = ctx.modulus
+    exhaustive, pairs = _ref_pair_iter(f, None, 1 << 22, 20000, seed)
+    c1 = c2 = None
+    wlow = whigh = None
+    count = 0
+    for x, y in pairs:
+        if x == y:
+            continue
+        vin = _ref_valuation((x - y) % M, p, D)
+        vout = _ref_valuation((f(x) - f(y)) % M, p, cap)
+        ratio = Fraction(p) ** (vin - vout)
+        count += 1
+        if c1 is None or ratio < c1:
+            c1, wlow = ratio, (x, y)
+        if vout < cap and (c2 is None or ratio > c2):
+            c2, whigh = ratio, (x, y)
+    return (c1, c2, exhaustive, count, wlow, whigh)
+
+
+def _estimate_fields(est):
+    return (est.c1_lower, est.c2_upper, est.exhaustive, est.pairs,
+            est.witness_low, est.witness_high)
+
+
+def test_pairs_match_reference_pair_source():
+    # around the exhaustive threshold (2,896 residues), between it and
+    # 2^14 (where the reference drew from a list) and above 2^14
+    for p, N in ((2, 6), (3, 5), (2, 11), (2, 12), (3, 8), (2, 15)):
+        f = builtin_map("shift_zp", PrecisionContext(p, N))
+        for seed in (0, 7):
+            exhaustive, pairs = analysis._pairs(f.ctx.modulus, seed)
+            ref_exhaustive, ref_pairs = _ref_pair_iter(f, None, 1 << 22,
+                                                       20000, seed)
+            assert exhaustive == ref_exhaustive == (p ** N <= 2896)
+            assert list(pairs) == list(ref_pairs)
+
+
+def test_estimate_lipschitz_bit_identical_to_reference():
+    cases = []
+    for N in (6, 8, 10):
+        cases.append(builtin_map("example2_R", PrecisionContext(2, N)))
+    ctx = PrecisionContext(3, 5)
+    cases.append(builtin_map("shift_zp", ctx))
+    cases.append(builtin_map("affine", ctx, v=3, w=2))
+    cases.append(perturb(builtin_map("shift_zp", ctx),
+                         make_lipschitz_perturbation(ctx, "digit_local",
+                                                     NormValue(3, 2), seed=5)))
+    cases.append(builtin_map("rho_open_Ra", PrecisionContext(3, 2, -2, 1, "Qp"),
+                             a=1))
+    for f in cases:
+        assert _estimate_fields(estimate_lipschitz(f)) == \
+            _ref_estimate_lipschitz(f)
+    # sampled contexts, two seeds each
+    for f in (builtin_map("affine", PrecisionContext(3, 8), v=3, w=1),
+              builtin_map("example2_R", PrecisionContext(2, 15))):
+        for seed in (0, 7):
+            est = estimate_lipschitz(f, seed=seed)
+            assert not est.exhaustive
+            assert _estimate_fields(est) == _ref_estimate_lipschitz(f, seed)
+

@@ -141,6 +141,18 @@ def test_analyze_multiple_checks(capsys):
     assert rep["records"]["lipschitz"]["exhaustive"] is True
 
 
+def test_analyze_scaling_reports_sampling(capsys):
+    # 3^5 residues give 29,403 pairs, all scanned; 3^8 give 21.5 million,
+    # past the pair budget, so the profile rests on seeded samples
+    for digits, exhaustive in (("5", True), ("8", False)):
+        code, rep = run(capsys, ["analyze", "--p", "3", "--digits", digits,
+                                 "--map", "affine(v=3, w=1)",
+                                 "--checks", "scaling"])
+        assert code == 0
+        assert rep["records"]["scaling"]["consistent"] is True
+        assert rep["records"]["scaling"]["exhaustive"] is exhaustive
+
+
 def test_analyze_locally_scaling(capsys):
     code, rep = run(capsys, ["analyze", "--p", "2", "--digits", "8",
                              "--map", "furno(k=2, seed=1)",

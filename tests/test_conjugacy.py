@@ -172,7 +172,7 @@ def test_thm1_builders_reject_non_covering_family():
     # residues ending in digit 0 are left uncovered
     partial = RightInverseFamily(fam.members,
                                  lambda m: m % 3 if m % 3 else None,
-                                 False, False, fam.lip_upper)
+                                 False, fam.lip_upper)
     delta = NormValue(3, 2)
     g = perturb(f, make_lipschitz_perturbation(ctx, "digit_local", delta, 0))
     for build in (build_conjugacy_thm1, build_inverse_conjugacy_thm1):

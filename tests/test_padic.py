@@ -35,6 +35,7 @@ from padic_dynamics.padic import (
     parse_norm,
     parse_padic,
     sub,
+    valuation,
 )
 
 
@@ -88,6 +89,19 @@ def test_norms_of_different_primes_do_not_compare():
     assert NormValue(3, 3) == NormValue(3, 3) != NormValue(3, 2)
     assert len({two, three, NormValue(3, 3)}) == 2
     assert two != 3 and not (two == "p^-3")
+
+
+def test_zero_norms_are_equal_whatever_their_bound():
+    # the certified bound of a zero says how finely it was resolved, not
+    # which value it is: all zeros are one norm, below every definite one
+    zeros = [norm_zero(3), norm_zero(3, 3), norm_zero(3, 7), norm_zero(3, -2)]
+    for a in zeros:
+        for b in zeros:
+            assert a == b and not a < b and hash(a) == hash(b)
+    assert len(set(zeros)) == 1
+    for k in (-5, 0, 3, 100):
+        for z in zeros:
+            assert z < norm_from_exp(3, k) and z != norm_from_exp(3, k)
 
 
 def test_norm_as_fraction():
@@ -179,6 +193,20 @@ def test_norm_against_valuation_oracle():
         m = rng.randrange(1, ctx.modulus)
         n = norm(ctx.from_int(m))
         assert n.exponent == frac_valuation(ctx.from_int(m).as_fraction(), 3)
+
+
+def test_valuation_against_fraction_oracle():
+    from fractions import Fraction
+    rng = random.Random(4)
+    for p in (2, 3, 5):
+        for _ in range(200):
+            m = rng.randrange(1, p ** 6) * p ** rng.randrange(5)
+            v = frac_valuation(Fraction(m), p)
+            for cap in (0, v - 1, v, v + 1, v + 7):
+                if cap >= 0:
+                    assert valuation(m, p, cap) == min(v, cap)
+        for cap in (0, 1, 9):
+            assert valuation(0, p, cap) == cap
 
 
 def test_norm_of_zero_reports_certified_bound():

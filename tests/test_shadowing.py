@@ -123,6 +123,40 @@ def test_brute_force_loss_aware_mode_ignores_uncertified_digits():
     assert cert <= res.achieved_bound
 
 
+def _ref_loss_aware_error(f, orbit, x):
+    """Least digit position where f^n(x) and x_n differ inside the D - n*loss
+    digits certified after n steps (D when they agree on all of them)."""
+    ctx = orbit.ctx
+    p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
+    first = D
+    for n, xn in enumerate(orbit.points):
+        if n:
+            x = f(x)
+        for i in range(D - n * f.precision_loss):
+            if (x - xn) % p ** (i + 1):
+                first = min(first, i)
+                break
+    return first
+
+
+def test_brute_force_loss_aware_mode_matches_digit_reference():
+    for p, N, name in ((2, 8, "shift_zp"), (3, 5, "shift_zp"),
+                       (2, 8, "example2_L"), (3, 6, "example2_L")):
+        ctx = PrecisionContext(p, N)
+        f = builtin_map(name, ctx)
+        for seed in range(3):
+            orbit = random_pseudo_orbit(f, NormValue(p, 2), 2 + seed, seed)
+            errs = [_ref_loss_aware_error(f, orbit, x)
+                    for x in range(ctx.modulus)]
+            best = max(errs)
+            point, err = brute_force_shadow(f, orbit, respect_loss=True)
+            assert point == errs.index(best)
+            if best == N:
+                assert err.is_zero and err.bound_exp == N
+            else:
+                assert err == NormValue(p, best)
+
+
 def test_brute_force_prefers_smallest_residue_on_ties():
     ctx = PrecisionContext(2, 3)
     f = builtin_map("shift_zp", ctx)
