@@ -1,37 +1,116 @@
-"""Empirical metric estimators: Lipschitz constants, scaling behaviour,
-openness of images and expansivity certificates.
+"""Exact metric certificates: Lipschitz constants, scaling behaviour,
+openness of images and expansivity.
 
-All estimators are exact at the context resolution: distances are powers
+All certificates are exact at the context resolution: distances are powers
 of p computed from digit valuations, with output valuations capped at the
 map's certified digit count so precision loss can never fabricate a
-contraction.  The pair scans cover all pairs of residues when there are at
-most PAIR_BUDGET of them (up to 2,896 residues); otherwise they scan SAMPLE
-seeded pairs and flag the result as not exhaustive.
+contraction.  Every scan is exhaustive over the tabulated map: it covers
+all M(M-1)/2 pairs of the M residues without visiting them one by one.
+The pairs are grouped by their input level j (|x - y| = p**-j) and each
+level is summarised by whole-table passes (_level_profile); expansivity
+hashes itineraries instead.  Contexts above ctx.ball_budget residues do
+not tabulate and raise BudgetExceeded.
 """
 
 from __future__ import annotations
 
-import random
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, cycle, repeat
+from operator import mod, mul, sub
 from typing import Optional
 
 from .errors import BudgetExceeded
 from .dynamics import DynamicMap
 from .padic import NormValue, valuation
 
-PAIR_BUDGET = 1 << 22
-SAMPLE = 20000
+
+def _level_profile(f: DynamicMap) -> list:
+    """[(lo, hi, middle)] for each input level j = 0 .. D-1 of f's table.
+
+    Over the pairs x != y with |x - y| = p**-j, lo and hi are the least and
+    the largest capped output valuation v(f(x) - f(y)), and middle says
+    whether some pair has lo < v < cap.
+
+    The level-j pairs are the pairs across different children of a radius
+    p**-j ball.  By the ultrametric inequality they reach the ball's image
+    diameter, which is measured from the ball's least residue, so lo is one
+    gcd over x >= p**j of f(x) - f(x mod p**j).  The level-j pairs whose
+    images agree mod p**t fall into groups keyed by (x mod p**j,
+    f(x) mod p**t); a group of n residues, n_c of them with digit j equal
+    to c, holds (n**2 - sum n_c**2) / 2 of them.  hi is the largest t <= cap
+    that leaves such a pair, found by bisection, and middle compares the
+    counts at t = lo + 1 and t = cap.
+    """
+    ctx = f.ctx
+    p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
+    cap = D - f.precision_loss
+    table = f.tabulate()
+
+    def agreeing(j, t):
+        """Level-j pairs whose images agree mod p**t."""
+        pt = p ** t
+        # keys[x] mod p**(t+i) is the group key (x mod p**i, f(x) mod p**t)
+        keys = [v % pt + pt * x for x, v in enumerate(table)]
+
+        def squares(modulus):
+            sizes = Counter(map(mod, keys, repeat(modulus))).values()
+            return sum(map(mul, sizes, sizes))
+
+        return (squares(pt * p ** j) - squares(pt * p ** (j + 1))) // 2
+
+    profile = []
+    for j in range(D):
+        pj = p ** j
+        lo = valuation(math.gcd(M, *map(sub, table[pj:], cycle(table[:pj]))),
+                       p, cap)
+        hi, middle = lo, False
+        if lo < cap:
+            above = agreeing(j, lo + 1)
+            if above:
+                at_cap = agreeing(j, cap) if lo + 1 < cap else above
+                if at_cap:
+                    hi, middle = cap, above > at_cap
+                else:
+                    # some pair agrees mod p**(lo+1), none mod p**cap
+                    a, b = lo + 1, cap
+                    while b - a > 1:
+                        c = (a + b) // 2
+                        if agreeing(j, c):
+                            a = c
+                        else:
+                            b = c
+                    hi, middle = a, True
+        profile.append((lo, hi, middle))
+    return profile
 
 
-def _pairs(M: int, seed: int):
-    """(exhaustive, iterator of (x, y) pairs of residues mod M)."""
-    if M * (M - 1) // 2 <= PAIR_BUDGET:
-        return True, combinations(range(M), 2)
-    rng = random.Random(seed)
-    return False, ((rng.randrange(M), rng.randrange(M))
-                   for _ in range(SAMPLE))
+def _first_pairs(f: DynamicMap, targets: dict, agree: bool):
+    """Yield (j, (x, y)) for each level j in targets: the first pair in
+    combinations(range(M), 2) order with |x - y| = p**-j whose images agree
+    mod p**targets[j] (agree=True) or differ there (agree=False), in the
+    order that scan meets them.  Every target level must have such a pair.
+    """
+    p, M = f.ctx.prime, f.ctx.modulus
+    table = f.tabulate()
+    left = {j: p ** t for j, t in targets.items()}
+    for x in range(M):
+        if not left:
+            return
+        fx = table[x]
+        row = []
+        for j, modulus in left.items():
+            step = p ** j
+            for y in range(x + step, M, step):
+                if (y - x) % (step * p) and \
+                        ((fx - table[y]) % modulus == 0) == agree:
+                    row.append((y, j))
+                    break
+        for y, j in sorted(row):
+            del left[j]
+            yield j, (x, y)
 
 
 @dataclass
@@ -44,64 +123,63 @@ class LipschitzEstimate:
     witness_high: Optional[tuple] = None
 
 
-def estimate_lipschitz(f: DynamicMap, seed: int = 0) -> LipschitzEstimate:
-    """Scan distance ratios |f(x)-f(y)| / |x-y| over input pairs.
+def estimate_lipschitz(f: DynamicMap) -> LipschitzEstimate:
+    """Extreme distance ratios |f(x)-f(y)| / |x-y| over all pairs x != y.
 
     Output valuations are capped at the certified digit count; pairs whose
     images coincide at that resolution contribute the smallest resolvable
     ratio to c1_lower (an honest lower bound, not a claim of collapse).
+    Each witness is the first pair in combinations(range(M), 2) order that
+    attains its ratio.
     """
     ctx = f.ctx
-    p, D = ctx.prime, ctx.total_digits
-    cap = D - f.precision_loss
-    M = ctx.modulus
-    exhaustive, pairs = _pairs(M, seed)
-    # the ratio of a pair is p**e with e = vin - vout, so the extreme
-    # ratios are the extreme exponents
-    e1 = e2 = None
-    wlow = whigh = None
-    count = 0
-    for x, y in pairs:
-        if x == y:
-            continue
-        vin = valuation((x - y) % M, p, D)
-        vout = valuation((f(x) - f(y)) % M, p, cap)
-        e = vin - vout
-        count += 1
-        if e1 is None or e < e1:
-            e1, wlow = e, (x, y)
-        # images equal at certified resolution certify no upper ratio:
-        # the true output valuation may exceed the cap
-        if vout < cap and (e2 is None or e > e2):
-            e2, whigh = e, (x, y)
-    c1 = None if e1 is None else Fraction(p) ** e1
-    c2 = None if e2 is None else Fraction(p) ** e2
-    return LipschitzEstimate(c1, c2, exhaustive, count, wlow, whigh)
+    p, M = ctx.prime, ctx.modulus
+    cap = ctx.total_digits - f.precision_loss
+    profile = _level_profile(f)
+    # a level-j pair with output valuation v has ratio p**(j - v), so the
+    # least ratio sits at some level's hi and the largest at some lo
+    e1 = min(j - hi for j, (_, hi, _) in enumerate(profile))
+    low = {j: hi for j, (_, hi, _) in enumerate(profile) if j - hi == e1}
+    _, wlow = next(_first_pairs(f, low, True))
+    # images equal at certified resolution certify no upper ratio: the
+    # true output valuation may exceed the cap
+    e2 = max((j - lo for j, (lo, _, _) in enumerate(profile) if lo < cap),
+             default=None)
+    c2 = whigh = None
+    if e2 is not None:
+        high = {j: lo + 1 for j, (lo, _, _) in enumerate(profile)
+                if lo < cap and j - lo == e2}
+        _, whigh = next(_first_pairs(f, high, False))
+        c2 = Fraction(p) ** e2
+    return LipschitzEstimate(Fraction(p) ** e1, c2, True, M * (M - 1) // 2,
+                             wlow, whigh)
 
 
-def check_locally_scaling(f: DynamicMap, k: int, m_exp: int,
-                          seed: int = 0) -> tuple:
-    """Verify |f(x)-f(y)| == p**-m_exp * |x-y| on pairs with |x-y| <= p**-k.
+def check_locally_scaling(f: DynamicMap, k: int, m_exp: int) -> tuple:
+    """Verify |f(x)-f(y)| == p**-m_exp * |x-y| on all pairs with
+    |x-y| <= p**-k.
 
-    Returns (ok, witness); comparisons beyond the certified output digits
-    are skipped rather than falsified.  Above PAIR_BUDGET pairs only SAMPLE
-    seeded pairs are checked, so ok is then not a proof.
+    Returns (ok, witness), the witness being the first failing pair in
+    combinations(range(M), 2) order; comparisons beyond the certified
+    output digits are skipped rather than falsified.
     """
     ctx = f.ctx
     p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
     cap = D - f.precision_loss
-    _, pairs = _pairs(M, seed)
-    for x, y in pairs:
-        if x == y:
-            continue
-        vin = valuation((x - y) % M, p, D)
-        if vin < k - ctx.u_min:
+    first = k - ctx.u_min
+    if all(lo == hi == j + m_exp
+           for j, (lo, hi, _) in enumerate(_level_profile(f))
+           if j >= first and j + m_exp < cap):
+        return True, None
+    table = f.tabulate()
+    for x, y in combinations(range(M), 2):
+        vin = valuation(y - x, p, D)
+        if vin < first:
             continue
         expected = vin + m_exp
         if expected >= cap:
             continue
-        vout = valuation((f(x) - f(y)) % M, p, cap)
-        if vout != expected:
+        if valuation((table[x] - table[y]) % M, p, cap) != expected:
             return False, (x, y)
     return True, None
 
@@ -110,30 +188,35 @@ def check_locally_scaling(f: DynamicMap, k: int, m_exp: int,
 class ScalingProfile:
     table: dict                    # input valuation -> output valuation
     consistent: bool
-    exhaustive: bool               # all pairs scanned, not a sample
+    exhaustive: bool               # every pair covered (always, see module)
     witness: Optional[tuple] = None
 
 
-def scaling_profile(f: DynamicMap, seed: int = 0) -> ScalingProfile:
-    """Tabulate kappa(|x-y|) = |f(x)-f(y)|; consistent when single-valued."""
+def scaling_profile(f: DynamicMap) -> ScalingProfile:
+    """Tabulate kappa(|x-y|) = |f(x)-f(y)|; consistent when single-valued.
+
+    Keys appear in the order in which a scan of the pairs in
+    combinations(range(M), 2) order first resolves them.  An inconsistent
+    profile holds what that scan had found when it met the first pair
+    contradicting the table; that pair is the witness.
+    """
     ctx = f.ctx
     p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
     cap = D - f.precision_loss
-    exhaustive, pairs = _pairs(M, seed)
+    profile = _level_profile(f)
+    if not any(middle for _, _, middle in profile):
+        resolved = {j: cap for j, (lo, _, _) in enumerate(profile) if lo < cap}
+        table = {j: profile[j][0] for j, _ in _first_pairs(f, resolved, False)}
+        return ScalingProfile(table, True, True)
+    images = f.tabulate()
     table = {}
-    for x, y in pairs:
-        if x == y:
-            continue
-        vin = valuation((x - y) % M, p, D)
-        vout = valuation((f(x) - f(y)) % M, p, cap)
+    for x, y in combinations(range(M), 2):
+        vout = valuation((images[x] - images[y]) % M, p, cap)
         if vout >= cap:
             continue        # below certified resolution; unusable
-        prev = table.get(vin)
-        if prev is None:
-            table[vin] = vout
-        elif prev != vout:
-            return ScalingProfile(table, False, exhaustive, (x, y))
-    return ScalingProfile(table, True, exhaustive)
+        if table.setdefault(valuation(y - x, p, D), vout) != vout:
+            return ScalingProfile(table, False, True, (x, y))
+    return ScalingProfile(table, True, True)
 
 
 def image_openness(f: DynamicMap) -> Optional[NormValue]:
@@ -160,33 +243,49 @@ def image_openness(f: DynamicMap) -> Optional[NormValue]:
     return None
 
 
-def expansivity_constant(f: DynamicMap, horizon: int,
-                         seed: int = 0) -> tuple:
+def expansivity_constant(f: DynamicMap, horizon: int) -> tuple:
     """Horizon-limited expansivity certificate.
 
-    Returns (constant, witness): every scanned pair x != y separates to
-    distance >= constant within `horizon` iterations; witness attains it.
+    Returns (constant, witness): every pair x != y separates to distance
+    >= constant within `horizon` iterations, and the witness, the first
+    such pair in combinations(range(M), 2) order, separates no further.
+
+    A pair stays within p**-m for `horizon` steps exactly when x and y
+    share the itinerary (f**n(x) mod p**m), n = 0 .. horizon, so the
+    constant is p**-m for the largest m at which itineraries collide,
+    found by bisection with one hash pass per iteration and m.
     """
     ctx = f.ctx
     p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
-    _, pairs = _pairs(M, seed)
-    worst_v = None
-    witness = None
-    for x, y in pairs:
-        if x == y:
-            continue
-        a, b = x, y
-        best_v = valuation((a - b) % M, p, D)
+    images = [v % M for v in f.tabulate()]
+
+    def itineraries(m):
+        """Class ids of the itineraries mod p**m (m < D), or None if all
+        differ."""
+        pm = p ** m
+        digits = ids = [x % pm for x in range(M)]
         for _ in range(horizon):
-            if worst_v is not None and best_v <= worst_v:
-                break
-            a, b = f(a), f(b)
-            v = valuation((a - b) % M, p, D)
-            if v < best_v:
-                best_v = v
-        if worst_v is None or best_v > worst_v:
-            worst_v = best_v
-            witness = (x, y)
-    if worst_v is None:
-        return None, None
-    return NormValue(p, ctx.u_min + worst_v), witness
+            # itinerary of x = (x mod p**m, itinerary of f(x) one step shorter)
+            index = {}
+            ids = [index.setdefault(key, len(index))
+                   for key in zip(digits, map(ids.__getitem__, images))]
+            if len(index) == M:
+                return None
+        return ids
+
+    # itineraries collide mod p**0 (M >= 2), never mod p**D (n = 0 is x)
+    m, above = 0, D
+    while above - m > 1:
+        mid = (m + above) // 2
+        if itineraries(mid) is None:
+            above = mid
+        else:
+            m = mid
+    first, second = {}, {}
+    for x, c in enumerate(itineraries(m)):
+        if c not in first:
+            first[c] = x
+        elif c not in second:
+            second[c] = x
+    witness = min((first[c], y) for c, y in second.items())
+    return NormValue(p, ctx.u_min + m), witness

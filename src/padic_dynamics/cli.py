@@ -261,12 +261,14 @@ def _cmd_analyze(args) -> int:
     ctx = _ctx_from_args(args)
     f, _family = build_map(args.map, ctx)
     checks = args.checks.split(",")
+    # every scan covers all pairs of residues (or raises BudgetExceeded)
+    pairs = ctx.modulus * (ctx.modulus - 1) // 2
     records = {}
     ok = True
     for check in checks:
         check = check.strip()
         if check == "lipschitz":
-            est = analysis.estimate_lipschitz(f, seed=args.seed)
+            est = analysis.estimate_lipschitz(f)
             records["lipschitz"] = {
                 "c1_lower": _frac_str(est.c1_lower),
                 "c2_upper": _frac_str(est.c2_upper),
@@ -274,7 +276,7 @@ def _cmd_analyze(args) -> int:
                 "pairs": est.pairs,
             }
         elif check == "scaling":
-            prof = analysis.scaling_profile(f, seed=args.seed)
+            prof = analysis.scaling_profile(f)
             records["scaling"] = {
                 "consistent": prof.consistent,
                 "exhaustive": prof.exhaustive,
@@ -285,18 +287,19 @@ def _cmd_analyze(args) -> int:
             rho = analysis.image_openness(f)
             records["openness"] = {"rho": _norm_str(rho) if rho else "none"}
         elif check == "expansivity":
-            const, witness = analysis.expansivity_constant(
-                f, args.horizon, seed=args.seed)
+            const, witness = analysis.expansivity_constant(f, args.horizon)
             records["expansivity"] = {
-                "constant": _norm_str(const) if const else "none",
+                "constant": _norm_str(const),
                 "horizon": args.horizon,
+                "exhaustive": True,
+                "pairs": pairs,
             }
         elif check.startswith("locally_scaling"):
             k = args.k
             m = args.m
-            good, witness = analysis.check_locally_scaling(f, k, m,
-                                                           seed=args.seed)
-            records["locally_scaling"] = {"k": k, "m": m, "ok": good}
+            good, witness = analysis.check_locally_scaling(f, k, m)
+            records["locally_scaling"] = {"k": k, "m": m, "ok": good,
+                                          "exhaustive": True, "pairs": pairs}
             ok = ok and good
         else:
             raise PadicDynamicsError(f"unknown check {check!r}")

@@ -7,7 +7,6 @@ from itertools import combinations
 
 import pytest
 
-from padic_dynamics import analysis
 from padic_dynamics.analysis import (
     check_locally_scaling,
     estimate_lipschitz,
@@ -16,12 +15,14 @@ from padic_dynamics.analysis import (
     scaling_profile,
 )
 from padic_dynamics.dynamics import (
+    DynamicMap,
     bijective_isometry,
     builtin_map,
     furno_compose,
     perturb,
     make_lipschitz_perturbation,
 )
+from padic_dynamics.errors import BudgetExceeded
 from padic_dynamics.padic import NormValue, PrecisionContext
 
 
@@ -192,7 +193,7 @@ def test_expansivity_contraction_never_separates():
 
 
 # ---------------------------------------------------------------------------
-# the exponent-only scan against the Fraction-per-pair reference
+# the level-profile scans against the pair scans they replaced
 # ---------------------------------------------------------------------------
 
 def _ref_valuation(m, p, cap):
@@ -205,24 +206,15 @@ def _ref_valuation(m, p, cap):
     return v
 
 
-def _ref_pair_iter(f, inputs, pair_budget, sample, seed):
-    """The pair source before the scans took the residue count alone."""
-    ctx = f.ctx
-    if inputs is None:
-        if ctx.modulus <= 1 << 14:
-            inputs = range(ctx.modulus)
-        else:
-            rng = random.Random(seed)
-            M = ctx.modulus
-            return False, ((rng.randrange(M), rng.randrange(M))
-                           for _ in range(sample))
-    inputs = list(inputs)
-    npairs = len(inputs) * (len(inputs) - 1) // 2
-    if npairs <= pair_budget:
-        return True, combinations(inputs, 2)
+def _ref_pair_iter(f, seed):
+    """The pair source of the pair scans: all pairs up to 2,896 residues,
+    20,000 seeded pairs above."""
+    M = f.ctx.modulus
+    if M * (M - 1) // 2 <= 1 << 22:
+        return True, combinations(range(M), 2)
     rng = random.Random(seed)
-    return False, ((rng.choice(inputs), rng.choice(inputs))
-                   for _ in range(sample))
+    return False, ((rng.randrange(M), rng.randrange(M))
+                   for _ in range(20000))
 
 
 def _ref_estimate_lipschitz(f, seed=0):
@@ -231,7 +223,7 @@ def _ref_estimate_lipschitz(f, seed=0):
     p, D = ctx.prime, ctx.total_digits
     cap = D - f.precision_loss
     M = ctx.modulus
-    exhaustive, pairs = _ref_pair_iter(f, None, 1 << 22, 20000, seed)
+    exhaustive, pairs = _ref_pair_iter(f, seed)
     c1 = c2 = None
     wlow = whigh = None
     count = 0
@@ -249,22 +241,187 @@ def _ref_estimate_lipschitz(f, seed=0):
     return (c1, c2, exhaustive, count, wlow, whigh)
 
 
+def _ref_scaling_profile(f):
+    """scaling_profile as a scan of all pairs; the table as a list of
+    items, so that key order counts."""
+    ctx = f.ctx
+    p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
+    cap = D - f.precision_loss
+    table = {}
+    for x, y in combinations(range(M), 2):
+        vin = _ref_valuation((x - y) % M, p, D)
+        vout = _ref_valuation((f(x) - f(y)) % M, p, cap)
+        if vout >= cap:
+            continue
+        prev = table.get(vin)
+        if prev is None:
+            table[vin] = vout
+        elif prev != vout:
+            return list(table.items()), False, True, (x, y)
+    return list(table.items()), True, True, None
+
+
+def _ref_check_locally_scaling(f, k, m_exp):
+    ctx = f.ctx
+    p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
+    cap = D - f.precision_loss
+    for x, y in combinations(range(M), 2):
+        vin = _ref_valuation((x - y) % M, p, D)
+        if vin < k - ctx.u_min:
+            continue
+        expected = vin + m_exp
+        if expected >= cap:
+            continue
+        if _ref_valuation((f(x) - f(y)) % M, p, cap) != expected:
+            return False, (x, y)
+    return True, None
+
+
+def _ref_expansivity_constant(f, horizon):
+    ctx = f.ctx
+    p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
+    worst_v = witness = None
+    for x, y in combinations(range(M), 2):
+        a, b = x, y
+        best_v = _ref_valuation((a - b) % M, p, D)
+        for _ in range(horizon):
+            if worst_v is not None and best_v <= worst_v:
+                break
+            a, b = f(a), f(b)
+            best_v = min(best_v, _ref_valuation((a - b) % M, p, D))
+        if worst_v is None or best_v > worst_v:
+            worst_v, witness = best_v, (x, y)
+    return NormValue(p, ctx.u_min + worst_v), witness
+
+
 def _estimate_fields(est):
     return (est.c1_lower, est.c2_upper, est.exhaustive, est.pairs,
             est.witness_low, est.witness_high)
 
 
-def test_pairs_match_reference_pair_source():
-    # around the exhaustive threshold (2,896 residues), between it and
-    # 2^14 (where the reference drew from a list) and above 2^14
-    for p, N in ((2, 6), (3, 5), (2, 11), (2, 12), (3, 8), (2, 15)):
-        f = builtin_map("shift_zp", PrecisionContext(p, N))
-        for seed in (0, 7):
-            exhaustive, pairs = analysis._pairs(f.ctx.modulus, seed)
-            ref_exhaustive, ref_pairs = _ref_pair_iter(f, None, 1 << 22,
-                                                       20000, seed)
-            assert exhaustive == ref_exhaustive == (p ** N <= 2896)
-            assert list(pairs) == list(ref_pairs)
+def _profile_fields(prof):
+    return list(prof.table.items()), prof.consistent, prof.exhaustive, \
+        prof.witness
+
+
+def _seeded_cases(p, N):
+    """(map, locally-scaling (k, m) checks) on Z_p at N digits: the shift,
+    an affine contraction, example2_R, a seeded digit_local perturbation
+    of each of the first two, and furno_compose at the right and a wrong
+    exponent."""
+    ctx = PrecisionContext(p, N)
+    shift = builtin_map("shift_zp", ctx)
+    affine = builtin_map("affine", ctx, v=p, w=1)
+    cases = [(shift, [(1, 1)]), (affine, [(0, 1), (0, 2)]),
+             (builtin_map("example2_R", ctx), [(0, 1)])]
+    for base, kd in ((shift, 1), (affine, 2)):
+        phi = make_lipschitz_perturbation(ctx, "digit_local",
+                                          NormValue(p, kd), seed=N + kd)
+        cases.append((perturb(base, phi), [(0, 1)]))
+    w = bijective_isometry(ctx, "triangular", seed=N)
+    cases.append((furno_compose(w, 2), [(2, -2), (2, -1), (1, -2)]))
+    return cases
+
+
+@pytest.mark.parametrize("p, N", [(2, 6), (2, 8), (3, 5), (3, 6), (5, 4)])
+def test_level_profile_scans_bit_identical_to_pair_scans(p, N):
+    consistent = {True: 0, False: 0}
+    scaling = {True: 0, False: 0}
+    cases = _seeded_cases(p, N)
+    if p ** N > 300:
+        cases = cases[3:]       # the perturbed maps and furno_compose
+    for f, checks in cases:
+        f.tabulate()
+        assert _estimate_fields(estimate_lipschitz(f)) == \
+            _ref_estimate_lipschitz(f)
+        prof = scaling_profile(f)
+        assert _profile_fields(prof) == _ref_scaling_profile(f)
+        consistent[prof.consistent] += 1
+        for k, m in checks:
+            result = check_locally_scaling(f, k, m)
+            assert result == _ref_check_locally_scaling(f, k, m)
+            scaling[result[0]] += 1
+    # inconsistent profiles and failing checks take the witness scan
+    assert all(consistent.values()) and all(scaling.values())
+
+
+def test_level_profile_scans_bit_identical_at_2_10():
+    # estimate_lipschitz of example2_R at 2^10 is pinned below
+    ctx = PrecisionContext(2, 10)
+    R = builtin_map("example2_R", ctx)
+    g = perturb(builtin_map("shift_zp", ctx), make_lipschitz_perturbation(
+        ctx, "digit_local", NormValue(2, 1), seed=3))
+    for f in (R, g):
+        f.tabulate()
+        assert _profile_fields(scaling_profile(f)) == _ref_scaling_profile(f)
+    assert _estimate_fields(estimate_lipschitz(g)) == \
+        _ref_estimate_lipschitz(g)
+
+
+def test_level_profile_scans_bit_identical_in_qp():
+    for spec in ((3, 2, -2, 1), (2, 4, -2, 2)):
+        ctx = PrecisionContext(*spec, "Qp")
+        for a in range(min(ctx.prime, 3)):
+            f = builtin_map("rho_open_Ra", ctx, a=a)
+            f.tabulate()
+            assert _estimate_fields(estimate_lipschitz(f)) == \
+                _ref_estimate_lipschitz(f)
+            assert _profile_fields(scaling_profile(f)) == \
+                _ref_scaling_profile(f)
+            for k, m in ((-1, 1), (0, 1), (0, 2)):
+                assert check_locally_scaling(f, k, m) == \
+                    _ref_check_locally_scaling(f, k, m)
+
+
+def test_estimate_lipschitz_least_ratio_below_the_cap():
+    # level 0 of this triangular digit map has 1 <= v(g(x) - g(y)) <= 4
+    # under a cap of 5, so the least ratio 3^-4 comes from a bisected hi,
+    # and the first pair attaining it is far from 0
+    ctx = PrecisionContext(3, 5)
+    g = make_lipschitz_perturbation(ctx, "digit_local", NormValue(3, 0),
+                                    seed=2).map
+    est = estimate_lipschitz(g)
+    assert (est.c1_lower, est.witness_low) == (Fraction(1, 81), (2, 77))
+    assert _estimate_fields(est) == _ref_estimate_lipschitz(g)
+
+
+def test_scaling_profile_keeps_first_resolved_key_order():
+    # T(0) agrees with every level-1 partner of 0 and differs from 4, so
+    # the pair scan resolves level 2 (at (0, 4)) before level 0 (at
+    # (1, 4)) and level 1 (at (2, 4)): the profile is consistent and its
+    # keys are not in ascending order
+    ctx = PrecisionContext(2, 3)
+    images = [0, 0, 0, 0, 1, 0, 0, 0]
+    f = DynamicMap("bump", ctx, images.__getitem__)
+    prof = scaling_profile(f)
+    assert list(prof.table.items()) == [(2, 0), (0, 0), (1, 0)]
+    assert _profile_fields(prof) == _ref_scaling_profile(f)
+    # example2_L resolves level 1 at (0, 2) and level 0 only at (0, 3)
+    L = builtin_map("example2_L", ctx)
+    prof = scaling_profile(L)
+    assert prof.consistent and list(prof.table) == [1, 0]
+    assert _profile_fields(prof) == _ref_scaling_profile(L)
+
+
+def test_scaling_profile_inconsistent_below_the_cap():
+    # a perturbation as large as the contraction: level 1 holds output
+    # valuations 2 and 3 under a cap of 4, the only level that does
+    ctx = PrecisionContext(2, 4)
+    g = perturb(builtin_map("affine", ctx, v=2, w=1),
+                make_lipschitz_perturbation(ctx, "digit_local",
+                                            NormValue(2, 0), seed=6))
+    prof = scaling_profile(g)
+    assert not prof.consistent and prof.witness == (1, 3)
+    assert _profile_fields(prof) == _ref_scaling_profile(g)
+
+
+def test_expansivity_bit_identical_to_pair_scan():
+    for p, N in ((2, 6), (3, 4), (5, 3)):
+        for f, _ in _seeded_cases(p, N):
+            f.tabulate()
+            for horizon in (0, 2, 5):
+                assert expansivity_constant(f, horizon) == \
+                    _ref_expansivity_constant(f, horizon)
 
 
 def test_estimate_lipschitz_bit_identical_to_reference():
@@ -282,11 +439,28 @@ def test_estimate_lipschitz_bit_identical_to_reference():
     for f in cases:
         assert _estimate_fields(estimate_lipschitz(f)) == \
             _ref_estimate_lipschitz(f)
-    # sampled contexts, two seeds each
-    for f in (builtin_map("affine", PrecisionContext(3, 8), v=3, w=1),
-              builtin_map("example2_R", PrecisionContext(2, 15))):
+    # contexts the pair scans sampled are now scanned exactly; the
+    # sampled ratios, two seeds each, lie inside the exact range
+    for f, c1, c2 in (
+            (builtin_map("affine", PrecisionContext(3, 8), v=3, w=1),
+             Fraction(1, 3), Fraction(1, 3)),
+            (builtin_map("example2_R", PrecisionContext(2, 15)),
+             Fraction(1, 2 ** 8), Fraction(1, 2))):
+        M = f.ctx.modulus
+        est = estimate_lipschitz(f)
+        assert (est.c1_lower, est.c2_upper) == (c1, c2)
+        assert est.exhaustive and est.pairs == M * (M - 1) // 2
         for seed in (0, 7):
-            est = estimate_lipschitz(f, seed=seed)
-            assert not est.exhaustive
-            assert _estimate_fields(est) == _ref_estimate_lipschitz(f, seed)
+            s1, s2, exhaustive, *_ = _ref_estimate_lipschitz(f, seed)
+            assert not exhaustive
+            assert c1 <= s1 <= c2 and c1 <= s2 <= c2
 
+
+def test_scans_raise_above_ball_budget():
+    ctx = PrecisionContext(2, 10, ball_budget=1 << 9)
+    f = builtin_map("shift_zp", ctx)
+    for scan in (estimate_lipschitz, scaling_profile,
+                 lambda f: check_locally_scaling(f, 1, 1),
+                 lambda f: expansivity_constant(f, 2)):
+        with pytest.raises(BudgetExceeded):
+            scan(f)

@@ -142,15 +142,15 @@ def test_analyze_multiple_checks(capsys):
 
 
 def test_analyze_scaling_reports_sampling(capsys):
-    # 3^5 residues give 29,403 pairs, all scanned; 3^8 give 21.5 million,
-    # past the pair budget, so the profile rests on seeded samples
-    for digits, exhaustive in (("5", True), ("8", False)):
+    # 3^5 residues give 29,403 pairs and 3^8 give 21.5 million: the
+    # profile covers all of them in both contexts
+    for digits in ("5", "8"):
         code, rep = run(capsys, ["analyze", "--p", "3", "--digits", digits,
                                  "--map", "affine(v=3, w=1)",
                                  "--checks", "scaling"])
         assert code == 0
         assert rep["records"]["scaling"]["consistent"] is True
-        assert rep["records"]["scaling"]["exhaustive"] is exhaustive
+        assert rep["records"]["scaling"]["exhaustive"] is True
 
 
 def test_analyze_locally_scaling(capsys):
@@ -160,6 +160,21 @@ def test_analyze_locally_scaling(capsys):
                              "--k", "2", "--m", "-2"])
     assert code == 0
     assert rep["records"]["locally_scaling"]["ok"] is True
+
+
+def test_analyze_locally_scaling_and_expansivity_report_their_pairs(capsys):
+    code, rep = run(capsys, ["analyze", "--p", "3", "--digits", "8",
+                             "--map", "affine(v=3, w=1)",
+                             "--checks", "locally_scaling,expansivity",
+                             "--k", "0", "--m", "1", "--horizon", "4"])
+    assert code == 0
+    pairs = 3 ** 8 * (3 ** 8 - 1) // 2
+    assert rep["records"]["locally_scaling"] == {
+        "k": 0, "m": 1, "ok": True, "exhaustive": True, "pairs": pairs}
+    # the contraction never separates the closest pairs
+    assert rep["records"]["expansivity"] == {
+        "constant": "p^-7", "horizon": 4, "exhaustive": True,
+        "pairs": pairs}
 
 
 def test_analyze_failure_exits_one(capsys):
