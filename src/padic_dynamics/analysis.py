@@ -22,7 +22,6 @@ from itertools import combinations, cycle, repeat
 from operator import mod, mul, sub
 from typing import Optional
 
-from .errors import BudgetExceeded
 from .dynamics import DynamicMap
 from .padic import NormValue, valuation
 
@@ -228,17 +227,12 @@ def image_openness(f: DynamicMap) -> Optional[NormValue]:
     ctx = f.ctx
     p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
     cap = D - f.precision_loss
-    if M > ctx.ball_budget:
-        raise BudgetExceeded("context too large for image enumeration")
-    image = {f(x) % M for x in range(M)}
+    image = {y % M for y in f.tabulate()}
     for n0 in range(0, cap - 1):
         step = p ** n0
-        coset_size = M // step
-        # group image points by their class mod p^n0
-        groups = {}
-        for y in image:
-            groups.setdefault(y % step, set()).add(y)
-        if all(len(g) == coset_size for g in groups.values()):
+        # no class mod p**n0 holds more than M // step residues, so the
+        # image is a union of such classes exactly when the counts match
+        if len(image) == len({y % step for y in image}) * (M // step):
             return NormValue(p, ctx.u_min + n0)
     return None
 

@@ -12,9 +12,10 @@ Three constructions, all table-based at the context resolution:
   R-tilde_i = R_i[H_i^-1];
 * contraction conjugacy for a bi-Lipschitz contraction R and its
   perturbation T: the space splits into layers T^n(U) of the complement
-  U of the image plus a residual core, h replays each layer through R and
-  sends the core to the fixed point (or through a windowed two-sided
-  recursion in field mode);
+  U of T's image plus a residual core, each layer point recorded with its
+  least T-preimage in the previous layer.  h is filled layer by layer: the
+  identity on U, h(x) = R(h(parent(x))) below it, and the fixed point of R
+  on the core;
 * the homogeneity homeomorphism matching two close proper sequences by a
   product of isometric ball swaps.
 
@@ -33,12 +34,10 @@ from .errors import (
     BudgetExceeded,
     CoveringViolation,
     DeltaTooLarge,
-    DepthInsufficient,
     NonConvergence,
     NotClose,
     NotInjective,
     NotProper,
-    WindowTooSmall,
 )
 from .dynamics import DynamicMap, RightInverseFamily
 from .padic import NormValue, PrecisionContext, valuation
@@ -96,8 +95,7 @@ def _require_transferable(R: DynamicMap, delta: NormValue) -> Fraction:
 
 
 def transfer_right_inverse(R: DynamicMap, phi: Callable[[int], int],
-                           delta: NormValue, max_iter: Optional[int] = None
-                           ) -> DynamicMap:
+                           delta: NormValue) -> DynamicMap:
     """R-tilde = R o H^-1 for H = id + phi o R; a right inverse transfers
     from f to g = f + phi.  Requires delta * Lip(R) < 1; the pointwise
     inversion is a contraction iteration and must stabilise.
@@ -105,7 +103,7 @@ def transfer_right_inverse(R: DynamicMap, phi: Callable[[int], int],
     ctx = R.ctx
     M = ctx.modulus
     shrink = _require_transferable(R, delta)
-    limit = max_iter if max_iter is not None else ctx.total_digits + 2
+    limit = ctx.total_digits + 2
 
     def fn(z, R=R, phi=phi, M=M, limit=limit):
         x = z
@@ -222,60 +220,44 @@ def build_inverse_conjugacy_thm1(f: DynamicMap, family: RightInverseFamily,
 
 @dataclass
 class DomainPartition:
-    """Layers T^n(U) of the image complement U, plus the residual core."""
+    """Layers of the images S_n = T^n(space), n = 0 .. depth, plus the core.
 
-    layer_of: dict                # residue -> layer index
-    layers: list                  # list of sets
-    core: set                     # residues inside every image up to depth+1
-    parents: list = field(repr=False, default_factory=list)
-    # parents[n][y] = chosen preimage of y inside layer n-1 / image chain
+    layers[n] holds S_n minus S_(n+1); layers[0] is the complement U of
+    T's image, and layers[n] = T^n(U) when T is injective.  parent[x] is
+    the least T-preimage of x in the previous image; for x in layers[n],
+    n >= 1, it lies in layers[n-1] (None on layers[0]).  The core is
+    S_(depth+1).  Residue lists are ascending.
+    """
 
-    def chain_root(self, x: int) -> tuple:
-        """(n, u): x lies in layer n with chain root u in U."""
-        n = self.layer_of[x]
-        u = x
-        for level in range(n, 0, -1):
-            u = self.parents[level][u]
-        return n, u
+    layers: list
+    parent: list = field(repr=False)
+    core: list
 
 
 def partition_contraction_domain(T: DynamicMap, depth: int) -> DomainPartition:
-    """Split the space into layers T^n(complement of image) and a core.
+    """Split the space into the image layers of T and a core.
 
-    Preimage choices under T are deterministic (smallest residue); at
-    finite precision T may identify residues that differ only in the top
-    contracted digits, which the chain bookkeeping absorbs.
+    One pass per layer over the current image S_n of T's table: each image
+    point keeps its least preimage, and S_n minus the image is the layer.
+    At finite precision T may identify residues that differ only in the
+    top contracted digits; the least preimage is the deterministic choice.
     """
-    ctx = T.ctx
-    M = ctx.modulus
-    if M > ctx.ball_budget:
-        raise BudgetExceeded("context too large for domain partition")
-    T.tabulate()
-    current = set(range(M))
-    layer_of = {}
+    table = T.tabulate()
+    parent = [None] * len(table)
     layers = []
-    parents = [dict()]          # parents[n] maps S_n -> chosen preimage in S_{n-1}
-    for n in range(depth + 1):
-        nxt = set()
-        parent = {}
-        for x in sorted(current):
-            y = T(x)
-            nxt.add(y)
-            if y not in parent:
-                parent[y] = x
-        layer = current - nxt
-        for x in layer:
-            layer_of[x] = n
-        layers.append(layer)
-        parents.append(parent)
-        current = nxt
-    core = current
-    return DomainPartition(layer_of, layers, core, parents)
+    current = range(len(table))
+    for _ in range(depth + 1):
+        # descending writes leave each image point its least preimage
+        least = {table[x]: x for x in reversed(current)}
+        layers.append([x for x in current if x not in least])
+        current = sorted(least)
+        for y in current:
+            parent[y] = least[y]
+    return DomainPartition(layers, parent, current)
 
 
 def _fixed_point(R: DynamicMap) -> int:
     """Residue of the unique fixed point of a contraction."""
-    M = R.ctx.modulus
     x = 0
     for _ in range(2 * R.ctx.total_digits + 4):
         nxt = R(x)
@@ -286,86 +268,34 @@ def _fixed_point(R: DynamicMap) -> int:
 
 
 def build_conjugacy_thm3(R: DynamicMap, T: DynamicMap, depth: int,
-                         delta: NormValue, rho: Optional[NormValue] = None,
-                         window: Optional[int] = None) -> ConjugacyMap:
+                         delta: NormValue,
+                         rho: Optional[NormValue] = None) -> ConjugacyMap:
     """h with R o h = h o T for a bi-Lipschitz contraction R and T = R + phi.
 
     Requires p * delta <= c1 (and <= rho when the image openness radius is
-    supplied).  Layer points replay their chain through R; core points go
-    to the fixed point of R in ring mode, or through a window-limited
-    two-sided recursion in field mode.
+    supplied).  h is filled in layer order: the identity on the image
+    complement U, h(x) = R(h(parent(x))) on each deeper layer, so a layer-n
+    point goes to R^n of its parent chain's root in U, and every core
+    point goes to the fixed point of R.
     """
     ctx = R.ctx
-    p, M = ctx.prime, ctx.modulus
     if R.lip_lower is None:
         raise BadParams("contraction conjugacy needs two-sided bounds for R")
     dfrac = delta.as_fraction()
-    if p * dfrac > R.lip_lower:
+    if ctx.prime * dfrac > R.lip_lower:
         raise DeltaTooLarge("need p * delta <= lower Lipschitz constant")
-    if rho is not None and p * dfrac > rho.as_fraction():
+    if rho is not None and ctx.prime * dfrac > rho.as_fraction():
         raise DeltaTooLarge("need p * delta <= image openness radius")
     part = partition_contraction_domain(T, depth)
-    R.tabulate()
-    table = [0] * M
-    moves = []
-    for x in range(M):
-        if x in part.layer_of:
-            n, u = part.chain_root(x)
-            y = u
-            for _ in range(n):
-                y = R(y)
-            table[x] = y
-            moves.append((y - x) % M)
-    core = sorted(part.core)
-    if window is None:
-        xr = _fixed_point(R)
-        for x in core:
-            table[x] = xr
-            moves.append((xr - x) % M)
-    else:
-        _core_window_images(R, T, core, window, table, moves)
-    return ConjugacyMap(ctx, table, ctx.max_norm(moves), depth, "thm3")
-
-
-def _core_window_images(R: DynamicMap, T: DynamicMap, core: list,
-                        window: int, table: list, moves: list) -> None:
-    """Two-sided recursion for core points: walk `window` steps into the
-    past along T (inverted inside the core), then roll forward through R.
-    """
-    ctx = R.ctx
-    M = ctx.modulus
-    # contraction order of R per application, from the declared bound
-    lip = R.lip_upper
-    order = 0
-    frac = Fraction(1)
-    while frac > lip:
-        frac /= ctx.prime
-        order += 1
-    if window * max(order, 1) < ctx.total_digits and window < ctx.total_digits:
-        raise WindowTooSmall(
-            f"window {window} cannot certify {ctx.total_digits} digits")
-    inv = {}
-    for x in core:
-        y = T(x)
-        if y in inv:
-            # keep deterministic smallest-preimage choice
-            inv[y] = min(inv[y], x)
-        else:
-            inv[y] = x
-    for x in core:
-        past = [x]
-        for _ in range(window):
-            prev = inv.get(past[-1])
-            if prev is None:
-                raise DepthInsufficient(
-                    "core residue has no past inside the core; increase depth")
-            past.append(prev)
-        past.reverse()              # T^-window(x), ..., T^-1(x), x
-        z = 0
-        for n in range(1, len(past)):
-            z = (R((past[n - 1] + z) % M) - past[n]) % M
-        table[x] = (x + z) % M
-        moves.append(z)
+    rt, parent = R.tabulate(), part.parent
+    table = list(range(ctx.modulus))
+    for layer in part.layers[1:]:
+        for x in layer:
+            table[x] = rt[table[parent[x]]]
+    xr = _fixed_point(R)
+    for x in part.core:
+        table[x] = xr
+    return ConjugacyMap(ctx, table, _closeness(ctx, table), depth, "thm3")
 
 
 # ---------------------------------------------------------------------------

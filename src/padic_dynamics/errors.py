@@ -71,10 +71,6 @@ class NotInjective(PadicDynamicsError):
     """Map is not injective at the context resolution."""
 
 
-class WindowTooSmall(PadicDynamicsError):
-    """Bi-infinite window too short for the requested output precision."""
-
-
 class NotProper(PadicDynamicsError):
     """Sequence terms are not pairwise distinct at resolution."""
 

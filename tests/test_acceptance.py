@@ -321,25 +321,21 @@ def test_10_non_covering_inverses_forfeit_shadowing():
     start = time.monotonic()
     p, depth = 3, 10
     delta, eps = NormValue(p, 6), NormValue(p, 2)
-    res = demonstrate_non_shadowing(p, depth, delta, eps, "even")
+    chart = build_cantor_chart("even", p, depth)
+    res = demonstrate_non_shadowing(p, depth, delta, eps, "even", chart=chart)
     assert not res.shadowed and res.best_error_s > eps
     control = demonstrate_non_shadowing(p, depth, delta, eps, "full",
                                         require_witness=False)
     assert control.shadowed and control.best_error_s <= eps
 
     ctx = PrecisionContext(p, depth + 2)
-    chart = build_cantor_chart("even", p, depth)
-    f = build_thm2_map(ctx, transported_shift_table(chart), depth)
-    fam = thm2_right_inverses(ctx)
+    ft = build_thm2_map(ctx, transported_shift_table(chart), depth).tabulate()
     cert = p ** (ctx.total_digits - 2)
     covered = set()
-    for R in fam.members:
-        img = set()
-        for x in range(ctx.modulus):
-            y = R(x)
-            assert f(y) == x % cert
-            img.add(y)
-        covered |= img
+    for R in thm2_right_inverses(ctx).members:
+        rt = R.tabulate()
+        assert all(ft[y] == x % cert for x, y in enumerate(rt))
+        covered.update(rt)
     assert len(covered) == covered_residue_count(ctx) < ctx.modulus
     elapsed = time.monotonic() - start
     assert elapsed < 300.0

@@ -294,6 +294,22 @@ def _ref_expansivity_constant(f, horizon):
     return NormValue(p, ctx.u_min + worst_v), witness
 
 
+def _ref_image_openness(f):
+    ctx = f.ctx
+    p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
+    cap = D - f.precision_loss
+    image = {f(x) % M for x in range(M)}
+    for n0 in range(0, cap - 1):
+        step = p ** n0
+        coset_size = M // step
+        groups = {}
+        for y in image:
+            groups.setdefault(y % step, set()).add(y)
+        if all(len(g) == coset_size for g in groups.values()):
+            return NormValue(p, ctx.u_min + n0)
+    return None
+
+
 def _estimate_fields(est):
     return (est.c1_lower, est.c2_upper, est.exhaustive, est.pairs,
             est.witness_low, est.witness_high)
@@ -337,6 +353,7 @@ def test_level_profile_scans_bit_identical_to_pair_scans(p, N):
         prof = scaling_profile(f)
         assert _profile_fields(prof) == _ref_scaling_profile(f)
         consistent[prof.consistent] += 1
+        assert image_openness(f) == _ref_image_openness(f)
         for k, m in checks:
             result = check_locally_scaling(f, k, m)
             assert result == _ref_check_locally_scaling(f, k, m)
@@ -461,6 +478,6 @@ def test_scans_raise_above_ball_budget():
     f = builtin_map("shift_zp", ctx)
     for scan in (estimate_lipschitz, scaling_profile,
                  lambda f: check_locally_scaling(f, 1, 1),
-                 lambda f: expansivity_constant(f, 2)):
+                 lambda f: expansivity_constant(f, 2), image_openness):
         with pytest.raises(BudgetExceeded):
             scan(f)

@@ -2,6 +2,8 @@
 deterministic JSON reports."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +216,24 @@ def test_out_file_written(tmp_path, capsys):
                              "--map", "shift_zp", "--out", str(path)])
     assert code == 0
     assert json.loads(path.read_text()) == rep
+
+
+def _readme_commands():
+    """The padyn command lines of the README's command-line block, with
+    continuation lines joined and the program name dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("padyn ")]
+
+
+def test_readme_commands_exit_zero(capsys):
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "shadow", "conjugate", "conjugate", "analyze", "counterexample",
+        "suite"]
+    for argv in commands:
+        code, rep = run(capsys, argv)
+        assert code == 0, argv
+        assert rep["summary"]["ok"] is True

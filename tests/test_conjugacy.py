@@ -10,6 +10,7 @@ import pytest
 from padic_dynamics.analysis import estimate_lipschitz
 from padic_dynamics.conjugacy import (
     ConjugacyMap,
+    _fixed_point,
     build_conjugacy_thm1,
     build_conjugacy_thm3,
     build_inverse_conjugacy_thm1,
@@ -37,7 +38,6 @@ from padic_dynamics.errors import (
     NotClose,
     NotInjective,
     NotProper,
-    WindowTooSmall,
 )
 from padic_dynamics.padic import NormValue, PrecisionContext, norm_zero
 
@@ -247,14 +247,20 @@ def test_transfer_rejects_large_delta():
 
 
 def test_transfer_nonconvergence_guard():
+    # phi(y) = y // 2 + 1 drops a digit, so it stretches distances by 2
+    # and breaks its declared 2^-1 Lipschitz bound: inverting
+    # id + phi o R_0 cycles instead of stabilising for most residues
     ctx = PrecisionContext(2, 6)
-    fam = shift_right_inverses(ctx)
-    phi = make_lipschitz_perturbation(ctx, "digit_local", NormValue(2, 1),
-                                      seed=1)
-    Rt = transfer_right_inverse(fam.members[0], phi, NormValue(2, 1),
-                                max_iter=0)
-    with pytest.raises(NonConvergence):
-        Rt(5)
+    M = ctx.modulus
+    R = shift_right_inverses(ctx).members[0]
+    Rt = transfer_right_inverse(R, lambda y: (y // 2 + 1) % M, NormValue(2, 1))
+    failures = 0
+    for z in range(M):
+        try:
+            Rt(z)
+        except NonConvergence:
+            failures += 1
+    assert failures == 62
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +275,104 @@ def test_partition_layers_of_affine_contraction():
     R = builtin_map("affine", ctx, v=3, w=1)
     part = partition_contraction_domain(R, 6)
     assert [len(layer) for layer in part.layers] == [486, 162, 54, 18, 6, 2, 0]
-    assert part.core == {364}
+    assert all(layer == sorted(layer) for layer in part.layers)
+    assert part.core == [364]
 
 
-def test_partition_chain_roots_replay_to_origin():
+def test_partition_parent_walk_replays_to_origin():
     ctx = PrecisionContext(3, 4)
     R = builtin_map("affine", ctx, v=3, w=1)
     part = partition_contraction_domain(R, 4)
-    for x, n in part.layer_of.items():
-        level, u = part.chain_root(x)
-        assert level == n
-        assert u in part.layers[0] or n == 0
-        y = u
-        for _ in range(n):
-            y = R(y)
-        assert y == x
+    for n, layer in enumerate(part.layers):
+        for x in layer:
+            u = x
+            for level in range(n - 1, -1, -1):
+                u = part.parent[u]
+                assert u in part.layers[level]
+            y = u
+            for _ in range(n):
+                y = R(y)
+            assert y == x
+
+
+# the partition and the chain-root replay that the layer-order pass
+# replaced, kept as the reference for it
+
+def _reference_partition(T, depth):
+    """(layer_of, layers, core, parents) with layer sets, parents[n] the
+    least-preimage dict of S_n into S_(n-1)."""
+    current = set(range(T.ctx.modulus))
+    layer_of, layers, parents = {}, [], [dict()]
+    for n in range(depth + 1):
+        nxt, parent = set(), {}
+        for x in sorted(current):
+            y = T(x)
+            nxt.add(y)
+            if y not in parent:
+                parent[y] = x
+        layer = current - nxt
+        for x in layer:
+            layer_of[x] = n
+        layers.append(layer)
+        parents.append(parent)
+        current = nxt
+    return layer_of, layers, current, parents
+
+
+def _reference_thm3(R, T, depth):
+    """(table, closeness): layer points replay their chain root through R,
+    core points go to the fixed point of R."""
+    ctx = R.ctx
+    M = ctx.modulus
+    layer_of, _, core, parents = _reference_partition(T, depth)
+    table = [0] * M
+    moves = []
+    for x in range(M):
+        if x in layer_of:
+            n = layer_of[x]
+            u = x
+            for level in range(n, 0, -1):
+                u = parents[level][u]
+            y = u
+            for _ in range(n):
+                y = R(y)
+            table[x] = y
+            moves.append((y - x) % M)
+    xr = _fixed_point(R)
+    for x in sorted(core):
+        table[x] = xr
+        moves.append((xr - x) % M)
+    return table, ctx.max_norm(moves)
+
+
+@pytest.mark.parametrize("ctx", [
+    PrecisionContext(2, 8), PrecisionContext(3, 6), PrecisionContext(5, 4),
+    PrecisionContext(3, 4, -2, 0, "Qp")])
+@pytest.mark.parametrize("name, params, k", [
+    ("affine", {"w": 1}, 1),
+    ("scaled_isometry", {"m": 1, "iso": "triangular", "seed": 4}, 1),
+    ("scaled_isometry", {"m": 2, "iso": "alphabet", "seed": 9, "c": 2}, 2)])
+def test_thm3_layer_pass_matches_chain_root_replay(ctx, name, params, k):
+    # shallow depths leave multi-point cores and a non-injective h
+    p, N = ctx.prime, ctx.total_digits
+    if name == "affine":
+        params = dict(params, v=p)
+    R = builtin_map(name, ctx, **params)
+    delta = NormValue(p, k + 1)
+    for seed in range(3):
+        T = perturb(R, make_lipschitz_perturbation(ctx, "digit_local", delta,
+                                                   seed))
+        for depth in (1, 2, N // 2, N, N + 2):
+            layer_of, layers, core, parents = _reference_partition(T, depth)
+            part = partition_contraction_domain(T, depth)
+            assert part.layers == [sorted(layer) for layer in layers]
+            assert part.core == sorted(core)
+            assert all(part.parent[x] == parents[n][x]
+                       for x, n in layer_of.items() if n)
+            h = build_conjugacy_thm3(R, T, depth, delta)
+            table, closeness = _reference_thm3(R, T, depth)
+            assert h.table == table
+            assert _norm_key(h.closeness) == _norm_key(closeness)
 
 
 def test_thm3_conjugacy_affine():
@@ -332,30 +421,6 @@ def test_thm3_scaled_isometry_contraction():
     h = build_conjugacy_thm3(R, T, ctx.total_digits, delta)
     rep = verify_conjugacy(R, T, h)
     assert rep.max_defect.is_zero and rep.injective
-
-
-def test_thm3_windowed_core_matches_fixed_point_mode():
-    ctx = PrecisionContext(3, 4)
-    R = builtin_map("affine", ctx, v=3, w=1)
-    delta = NormValue(3, 2)
-    phi = make_lipschitz_perturbation(ctx, "digit_local", delta, seed=4)
-    T = perturb(R, phi)
-    h_ring = build_conjugacy_thm3(R, T, ctx.total_digits, delta)
-    h_win = build_conjugacy_thm3(R, T, ctx.total_digits, delta,
-                                 window=ctx.total_digits)
-    rep = verify_conjugacy(R, T, h_win)
-    assert rep.max_defect.is_zero
-    assert h_win.table == h_ring.table
-
-
-def test_thm3_window_too_small():
-    ctx = PrecisionContext(3, 4)
-    R = builtin_map("affine", ctx, v=3, w=1)
-    delta = NormValue(3, 2)
-    phi = make_lipschitz_perturbation(ctx, "digit_local", delta, seed=4)
-    T = perturb(R, phi)
-    with pytest.raises(WindowTooSmall):
-        build_conjugacy_thm3(R, T, ctx.total_digits, delta, window=1)
 
 
 # ---------------------------------------------------------------------------
