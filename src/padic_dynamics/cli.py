@@ -306,7 +306,7 @@ def _cmd_analyze(args) -> int:
     report = {
         "command": "analyze",
         "config": {"p": ctx.prime, "digits": ctx.total_digits, "map": args.map,
-                   "checks": args.checks, "seed": args.seed, "prng": PRNG_NAME},
+                   "checks": args.checks},
         "records": records,
         "summary": {"ok": ok},
     }
@@ -412,11 +412,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="digit budget per value")
         sp.add_argument("--window", default=None,
                         help="field-mode exponent window, e.g. '-2:2'")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="also write JSON here")
 
     sp = sub.add_parser("shadow", help="solve shadowing for pseudo-orbits")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--map", default="shift_zp")
     sp.add_argument("--delta", default="p^-2", help="pseudo-orbit bound, p^-k")
     sp.add_argument("--length", type=int, default=20)
@@ -427,6 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("conjugate", help="build and verify conjugacies")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--kind", choices=("thm1", "thm3", "homogeneity"),
                     default="thm1")
     sp.add_argument("--map", default="shift_zp")

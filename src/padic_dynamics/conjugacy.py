@@ -8,8 +8,8 @@ Three constructions, all table-based at the context resolution:
   whole-table passes S_0 = id, S_k[x] = R_{i(x)}[S_{k-1}[g[x]]] with
   i(x) the member covering x, and h = S_depth.  Its inverse runs the same
   passes along f with the right inverses transferred from f to
-  g = f + phi: each table H_i = id + phi o R_i is inverted once and
-  R-tilde_i = R_i[H_i^-1];
+  g = f + phi by transfer_family, the only transfer: each table
+  H_i = id + phi o R_i is inverted once and R-tilde_i = R_i[H_i^-1];
 * contraction conjugacy for a bi-Lipschitz contraction R and its
   perturbation T: the space splits into layers T^n(U) of the complement
   U of T's image plus a residual core, each layer point recorded with its
@@ -26,8 +26,7 @@ each taken as one gcd by PrecisionContext.max_norm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import (
     BadParams,
@@ -84,57 +83,18 @@ def _closeness(ctx: PrecisionContext, table: list) -> NormValue:
 # transfer of right inverses along a perturbation
 # ---------------------------------------------------------------------------
 
-def _require_transferable(R: DynamicMap, delta: NormValue) -> Fraction:
-    """delta * Lip(R), the contraction rate of inverting id + phi o R."""
+def _transferred(R: DynamicMap, phi: list, delta: NormValue) -> DynamicMap:
+    """R-tilde = R o H^-1 for H = id + phi o R, by one inversion of H's table.
+
+    shrink = delta * Lip(R) < 1 is the contraction rate of inverting H, and
+    Lip(R-tilde) <= Lip(R) / (1 - shrink).  Kept apart from the member loop
+    so that each inverse table is freed before the next is built.
+    """
     if R.lip_upper is None:
         raise BadParams("transfer needs a declared Lipschitz bound for R")
     shrink = delta.as_fraction() * R.lip_upper
     if shrink >= 1:
         raise DeltaTooLarge(f"delta * Lip(R) = {shrink} >= 1")
-    return shrink
-
-
-def transfer_right_inverse(R: DynamicMap, phi: Callable[[int], int],
-                           delta: NormValue) -> DynamicMap:
-    """R-tilde = R o H^-1 for H = id + phi o R; a right inverse transfers
-    from f to g = f + phi.  Requires delta * Lip(R) < 1; the pointwise
-    inversion is a contraction iteration and must stabilise.
-    """
-    ctx = R.ctx
-    M = ctx.modulus
-    shrink = _require_transferable(R, delta)
-    limit = ctx.total_digits + 2
-
-    def fn(z, R=R, phi=phi, M=M, limit=limit):
-        x = z
-        for _ in range(limit):
-            nxt = (z - phi(R(x))) % M
-            if nxt == x:
-                return R(x)
-            x = nxt
-        raise NonConvergence("contraction inversion did not stabilise")
-
-    lip = R.lip_upper / (1 - shrink)
-    return DynamicMap(f"transfer[{R.name}]", ctx, fn, R.precision_loss,
-                      lip, None, {"base": R, "delta": delta})
-
-
-def transfer_family(family: RightInverseFamily, phi: Callable[[int], int],
-                    delta: NormValue) -> RightInverseFamily:
-    """Transfer every member; membership is unchanged (images coincide)."""
-    members = tuple(transfer_right_inverse(R, phi, delta)
-                    for R in family.members)
-    lip = members[0].lip_upper
-    return RightInverseFamily(members, family.membership, family.covering, lip)
-
-
-def _transferred_table(R: DynamicMap, phi: list, delta: NormValue) -> list:
-    """Table of R-tilde = R o H^-1, H = id + phi o R, by one inversion of H.
-
-    This is the fixed point that transfer_right_inverse iterates towards:
-    x = z - phi(R(x)) exactly when H(x) = z.
-    """
-    _require_transferable(R, delta)
     table = R.tabulate()
     M = len(table)
     inv = [None] * M
@@ -144,7 +104,22 @@ def _transferred_table(R: DynamicMap, phi: list, delta: NormValue) -> list:
         raise NotInjective(
             f"id + phi o {R.name} is not injective: delta * Lip(R) < 1 "
             "fails for the supplied maps")
-    return [table[x] for x in inv]
+    out = [table[x] for x in inv]
+    return DynamicMap(f"transfer[{R.name}]", R.ctx, out.__getitem__,
+                      R.precision_loss, R.lip_upper / (1 - shrink), None,
+                      {"base": R, "delta": delta}, out)
+
+
+def transfer_family(family: RightInverseFamily, phi: list,
+                    delta: NormValue) -> RightInverseFamily:
+    """Transfer every right inverse from f to g = f + phi, phi given as a
+    residue table; membership is unchanged (images coincide).
+
+    Raises DeltaTooLarge unless delta * Lip(R_i) < 1, and NotInjective
+    when some id + phi o R_i collides at the context resolution.
+    """
+    members = tuple(_transferred(R, phi, delta) for R in family.members)
+    return RightInverseFamily(members, family.membership)
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +177,16 @@ def build_inverse_conjugacy_thm1(f: DynamicMap, family: RightInverseFamily,
                                  depth: int) -> ConjugacyMap:
     """h-tilde with g o h-tilde = h-tilde o f; inverse of the map above.
 
-    Uses the right inverses transferred from f to g along phi = g - f and
-    runs the mirror recursion along f-orbits.
+    Tabulates phi = g - f, transfers the family to g with transfer_family
+    (one inversion of id + phi o R_i per member; a collision raises
+    NotInjective) and runs the mirror recursion along f-orbits with the
+    original membership, since the transferred images coincide.
     """
     ft, gt, _ = _thm1_tables(f, family, g, delta)
     M = len(ft)
     phi = [(y - x) % M for x, y in zip(ft, gt)]
-    tables = [_transferred_table(R, phi, delta) for R in family.members]
+    tables = [R.tabulate()
+              for R in transfer_family(family, phi, delta).members]
     table = _backward_passes(ft, family, tables, depth)
     return ConjugacyMap(f.ctx, table, _closeness(f.ctx, table), depth,
                         "thm1.inv")

@@ -265,7 +265,7 @@ def thm2_right_inverses(ctx: PrecisionContext) -> RightInverseFamily:
             return a - 1
         return None
 
-    return RightInverseFamily(members, membership, False, Fraction(1, p2))
+    return RightInverseFamily(members, membership)
 
 
 def covered_residue_count(ctx: PrecisionContext) -> int:

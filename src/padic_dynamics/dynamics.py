@@ -188,9 +188,7 @@ def check_isometry(w: DynamicMap) -> None:
                 elif prev != val:
                     raise NotIsometry(
                         f"{w.name} not constant on a radius p^-{j} ball")
-            if len(set(reduced.values())) != len(reduced):
-                raise NotIsometry(
-                    f"{w.name} collapses two radius p^-{j} balls")
+            # a bijection's well-defined reduction is onto Z/p^j, so injective
         return
     rng = random.Random(0)
     for _ in range(CHECK_SAMPLE):
@@ -452,13 +450,18 @@ class RightInverseFamily:
     """Finitely many right inverses of a map, with a membership oracle.
 
     membership(x) returns the index i with x in R_i(image) (ties broken by
-    the smallest index), or None when the family does not cover x.
+    the smallest index), or None when the family does not cover x; the
+    family covers exactly when membership is total.  The contraction rate
+    lip_upper is read off the members' declared bounds.
     """
 
     members: tuple
     membership: Callable[[int], Optional[int]]
-    covering: bool
-    lip_upper: Fraction
+
+    @property
+    def lip_upper(self) -> Fraction:
+        """The largest declared Lipschitz bound among the members."""
+        return max(R.lip_upper for R in self.members)
 
     def __len__(self):
         return len(self.members)
@@ -471,8 +474,7 @@ def shift_right_inverses(ctx: PrecisionContext) -> RightInverseFamily:
         DynamicMap(f"R[{i}]", ctx, lambda m, i=i, p=p, M=M: (i + p * m) % M,
                    0, Fraction(1, p), Fraction(1, p), {"i": i})
         for i in range(p))
-    return RightInverseFamily(members, lambda m, p=p: m % p, True,
-                              Fraction(1, p))
+    return RightInverseFamily(members, lambda m, p=p: m % p)
 
 
 def furno_compose(w: DynamicMap, k: int) -> DynamicMap:
@@ -509,8 +511,7 @@ def locally_scaling_inverses(w: DynamicMap, k: int,
                    lambda m, a=a, pk=pk, inv=inv, M=M: inv[(a + pk * m) % M],
                    0, Fraction(1, pk), Fraction(1, pk), {"a": a})
         for a in range(pk))
-    return RightInverseFamily(members, lambda m, pk=pk, table=table: table[m] % pk,
-                              True, Fraction(1, pk))
+    return RightInverseFamily(members, lambda m, pk=pk, table=table: table[m] % pk)
 
 
 def left_inverse_for(R: DynamicMap) -> DynamicMap:

@@ -59,10 +59,6 @@ class CoveringViolation(PadicDynamicsError):
     """No right-inverse image contains the required point."""
 
 
-class PrecisionExhausted(PadicDynamicsError):
-    """Requested certification exceeds the digits available."""
-
-
 class NonConvergence(PadicDynamicsError):
     """A contraction iteration failed to stabilise; precondition violated."""
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, CoveringViolation, PrecisionExhausted
+from .errors import BudgetExceeded, CoveringViolation
 from .dynamics import DynamicMap, RightInverseFamily
 from .padic import NormValue, PrecisionContext, norm_zero, valuation
 
@@ -70,24 +70,18 @@ class ShadowingResult:
 
 
 def solve_shadowing(f: DynamicMap, family: RightInverseFamily,
-                    orbit: PseudoOrbit,
-                    require_forward_cert: bool = False) -> ShadowingResult:
+                    orbit: PseudoOrbit) -> ShadowingResult:
     """Backward-recursion shadowing solver.
 
     The recursion itself is exact at the context resolution regardless of
     the map's per-step precision loss, so no digit gate is applied to the
     orbit length; certified_digits reports how far forward iteration of f
-    itself stays certified, and require_forward_cert turns a shortfall
-    (fewer than 2 certified digits) into PrecisionExhausted.
+    itself stays certified.
     """
     ctx = orbit.ctx
     M = ctx.modulus
     pts = orbit.points
     L = len(pts) - 1
-    cert = ctx.total_digits - L * f.precision_loss
-    if require_forward_cert and cert < 2:
-        raise PrecisionExhausted(
-            f"{L} steps of {f.name} leave {cert} certified digits")
 
     indices = []
     for n in range(L):
@@ -118,8 +112,9 @@ def solve_shadowing(f: DynamicMap, family: RightInverseFamily,
             break
         checked = n
 
+    cert = max(ctx.total_digits - L * f.precision_loss, 0)
     return ShadowingResult((pts[0] + z[0]) % M, tuple(z), tuple(indices),
-                           achieved, bound_ok, checked, max(cert, 0))
+                           achieved, bound_ok, checked, cert)
 
 
 def orbit_error(f: DynamicMap, orbit: PseudoOrbit, x: int) -> NormValue:

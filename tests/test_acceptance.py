@@ -20,7 +20,7 @@ from padic_dynamics.conjugacy import (
     build_conjugacy_thm3,
     build_inverse_conjugacy_thm1,
     homogeneity_homeomorphism,
-    transfer_right_inverse,
+    transfer_family,
     verify_conjugacy,
 )
 from padic_dynamics.counterexample import (
@@ -206,7 +206,8 @@ def test_06_transferred_inverses_keep_contraction_and_image():
         for seed in range(5):
             phi = make_lipschitz_perturbation(ctx, "digit_local", delta, seed)
             R = fam.members[seed % p]
-            Rt = transfer_right_inverse(R, phi, delta)
+            tfam = transfer_family(fam, phi.map.tabulate(), delta)
+            Rt = tfam.members[seed % p]
             est = estimate_lipschitz(Rt)
             assert est.exhaustive and est.c2_upper <= bound
             M = ctx.modulus

@@ -187,6 +187,15 @@ def test_analyze_failure_exits_one(capsys):
     assert rep["summary"]["ok"] is False
 
 
+def test_analyze_takes_no_seed(capsys):
+    # the scans are exhaustive and draw nothing at random
+    argv = ["analyze", "--p", "3", "--digits", "5", "--map", "shift_zp"]
+    code, rep = run(capsys, argv)
+    assert code == 0
+    assert "seed" not in rep["config"] and "prng" not in rep["config"]
+    assert cli.main(argv + ["--seed", "1"]) == 2
+
+
 def test_bad_map_name_exits_two(capsys):
     code, rep = run(capsys, ["analyze", "--p", "3", "--digits", "6",
                              "--map", "warp_drive", "--checks", "lipschitz"])

@@ -1,6 +1,6 @@
 """Conjugacy builder tests: perturbation conjugacies and their inverses,
-right-inverse transfer, contraction-layer conjugacies, and the
-ball-swap homeomorphism for close proper sequences."""
+right-inverse transfer (against the pointwise reference), contraction-layer
+conjugacies, and the ball-swap homeomorphism for close proper sequences."""
 
 import random
 from fractions import Fraction
@@ -17,7 +17,6 @@ from padic_dynamics.conjugacy import (
     homogeneity_homeomorphism,
     partition_contraction_domain,
     transfer_family,
-    transfer_right_inverse,
     verify_conjugacy,
 )
 from padic_dynamics.dynamics import (
@@ -124,6 +123,36 @@ def _pointwise_recursion(step, family, depth):
     return table
 
 
+def _ref_transfer_family(family, phi, delta):
+    """Reference: the pointwise transfer R-tilde = R o H^-1, H = id + phi o R,
+    each residue z inverted by iterating x = z - phi(R(x)) until it
+    stabilises; phi is a callable.  The family's bound is the first
+    member's."""
+    members = []
+    for R in family.members:
+        shrink = delta.as_fraction() * R.lip_upper
+        if shrink >= 1:
+            raise DeltaTooLarge(f"delta * Lip(R) = {shrink} >= 1")
+        ctx = R.ctx
+        M = ctx.modulus
+        limit = ctx.total_digits + 2
+
+        def fn(z, R=R, M=M, limit=limit):
+            x = z
+            for _ in range(limit):
+                nxt = (z - phi(R(x))) % M
+                if nxt == x:
+                    return R(x)
+                x = nxt
+            raise NonConvergence("contraction inversion did not stabilise")
+
+        members.append(DynamicMap(f"transfer[{R.name}]", ctx, fn,
+                                  R.precision_loss,
+                                  R.lip_upper / (1 - shrink), None,
+                                  {"base": R, "delta": delta}))
+    return RightInverseFamily(tuple(members), family.membership)
+
+
 def _pointwise_closeness(ctx, table):
     return max(ctx.norm_of_int(y - x) for x, y in enumerate(table))
 
@@ -151,7 +180,7 @@ def test_thm1_tables_match_pointwise_recursion(p, N, k, seed):
     delta = NormValue(p, 1)
     phi = make_lipschitz_perturbation(ctx, "digit_local", delta, seed)
     g = perturb(f, phi)
-    tfam = transfer_family(fam, lambda m: (g(m) - f(m)) % M, delta)
+    tfam = _ref_transfer_family(fam, lambda m: (g(m) - f(m)) % M, delta)
     for depth in range(1, 7):
         h = build_conjugacy_thm1(f, fam, g, delta, depth)
         ref = _pointwise_recursion(g, fam, depth)
@@ -171,8 +200,7 @@ def test_thm1_builders_reject_non_covering_family():
     fam = shift_right_inverses(ctx)
     # residues ending in digit 0 are left uncovered
     partial = RightInverseFamily(fam.members,
-                                 lambda m: m % 3 if m % 3 else None,
-                                 False, fam.lip_upper)
+                                 lambda m: m % 3 if m % 3 else None)
     delta = NormValue(3, 2)
     g = perturb(f, make_lipschitz_perturbation(ctx, "digit_local", delta, 0))
     for build in (build_conjugacy_thm1, build_inverse_conjugacy_thm1):
@@ -216,12 +244,13 @@ def test_transfer_preserves_images_and_lip_bound():
     M = ctx.modulus
     for seed in range(5):
         phi = make_lipschitz_perturbation(ctx, "digit_local", delta, seed)
-        tfam = transfer_family(fam, phi, delta)
+        tfam = transfer_family(fam, phi.map.tabulate(), delta)
         bound = fam.lip_upper / (1 - delta.as_fraction() * fam.lip_upper)
+        assert tfam.lip_upper == bound
         for R, Rt in zip(fam.members, tfam.members):
             est = estimate_lipschitz(Rt)
             assert est.c2_upper <= bound
-            assert {Rt(x) for x in range(M)} == {R(x) for x in range(M)}
+            assert set(Rt.tabulate()) == set(R.tabulate())
 
 
 def test_transferred_inverse_inverts_perturbed_map():
@@ -231,7 +260,7 @@ def test_transferred_inverse_inverts_perturbed_map():
     delta = NormValue(3, 2)
     phi = make_lipschitz_perturbation(ctx, "digit_local", delta, seed=3)
     g = perturb(f, phi)
-    tfam = transfer_family(fam, phi, delta)
+    tfam = transfer_family(fam, phi.map.tabulate(), delta)
     cert = 3 ** (ctx.total_digits - 1)
     for Rt in tfam.members:
         for x in range(ctx.modulus):
@@ -243,17 +272,24 @@ def test_transfer_rejects_large_delta():
     fam = shift_right_inverses(ctx)
     phi = make_lipschitz_perturbation(ctx, "constant", NormValue(2, 0), c=1)
     with pytest.raises(DeltaTooLarge):
-        transfer_right_inverse(fam.members[0], phi, NormValue(2, -1))
+        transfer_family(fam, phi.map.tabulate(), NormValue(2, -1))
+    with pytest.raises(DeltaTooLarge):
+        _ref_transfer_family(fam, phi, NormValue(2, -1))
 
 
 def test_transfer_nonconvergence_guard():
     # phi(y) = y // 2 + 1 drops a digit, so it stretches distances by 2
-    # and breaks its declared 2^-1 Lipschitz bound: inverting
-    # id + phi o R_0 cycles instead of stabilising for most residues
+    # and breaks its declared 2^-1 Lipschitz bound: id + phi o R_0
+    # collides, so the table transfer raises, and the pointwise inversion
+    # cycles instead of stabilising for most residues
     ctx = PrecisionContext(2, 6)
     M = ctx.modulus
-    R = shift_right_inverses(ctx).members[0]
-    Rt = transfer_right_inverse(R, lambda y: (y // 2 + 1) % M, NormValue(2, 1))
+    fam = shift_right_inverses(ctx)
+    delta = NormValue(2, 1)
+    phi = [(y // 2 + 1) % M for y in range(M)]
+    with pytest.raises(NotInjective):
+        transfer_family(fam, phi, delta)
+    Rt = _ref_transfer_family(fam, phi.__getitem__, delta).members[0]
     failures = 0
     for z in range(M):
         try:
@@ -261,6 +297,28 @@ def test_transfer_nonconvergence_guard():
         except NonConvergence:
             failures += 1
     assert failures == 62
+
+
+_TRANSFER_FAMILIES = [(2, 8, 0), (3, 6, 0), (5, 4, 0),
+                      (2, 8, 1), (2, 8, 2), (3, 5, 1)]
+
+
+@pytest.mark.parametrize("p, N, k", _TRANSFER_FAMILIES)
+def test_table_transfer_matches_pointwise_reference(p, N, k):
+    # 6 families x delta = p^-1 .. p^-3 x 3 seeds = 54 cases
+    f, fam = _thm1_case(p, N, k)
+    ctx = f.ctx
+    for e in (1, 2, 3):
+        delta = NormValue(p, e)
+        for seed in (0, 1, 2):
+            phi = make_lipschitz_perturbation(ctx, "digit_local", delta, seed)
+            tfam = transfer_family(fam, phi.map.tabulate(), delta)
+            ref = _ref_transfer_family(fam, phi, delta)
+            assert tfam.membership is fam.membership
+            assert tfam.lip_upper == ref.members[0].lip_upper
+            for Rt, Rr in zip(tfam.members, ref.members, strict=True):
+                assert Rt.tabulate() == [Rr(z) for z in range(ctx.modulus)]
+                assert Rt.lip_upper == Rr.lip_upper
 
 
 # ---------------------------------------------------------------------------

