@@ -73,10 +73,13 @@ class _NeedMore(Exception):
 # chart construction
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class ChartNode:
-    words: list                   # sorted admissible words, equal length
-    children: Optional[list]      # p child nodes, or None at a leaf
+    # Tuples, not lists: the cyclic collector stops tracking a tuple of
+    # atomic tuples, so the words of a live chart add nothing to the cost
+    # of each full collection.
+    words: tuple                  # sorted admissible words, equal length
+    children: Optional[tuple]     # p child nodes, or None at a leaf
     child_len: int                # word length inside the children
 
 
@@ -186,9 +189,10 @@ def build_cantor_chart(subshift: str, p: int, depth: int) -> CantorChart:
 
     def build(words: list, level: int, residue: int) -> ChartNode:
         if level == depth:
-            node = ChartNode(words, None, len(words[0]))
+            node = ChartNode(tuple(words), None, len(words[0]))
             leaves[residue] = node
-            index.update(dict.fromkeys(words, residue))
+            for w in words:
+                index[w] = residue
             return node
         work = words
         for _round in range(4 * p + 8):
@@ -203,9 +207,9 @@ def build_cantor_chart(subshift: str, p: int, depth: int) -> CantorChart:
             raise ChartExhausted(
                 f"cannot split class {words[:2]}... into {p} groups")
         step = p ** level
-        children = [build(b, level + 1, residue + i * step)
-                    for i, b in enumerate(blocks)]
-        return ChartNode(work, children, len(work[0]))
+        children = tuple(build(b, level + 1, residue + i * step)
+                         for i, b in enumerate(blocks))
+        return ChartNode(tuple(work), children, len(work[0]))
 
     root = build(_extend_words([()], extensions), 0, 0)
     counts = Counter(len(leaf.words[0]) for leaf in leaves)
@@ -227,7 +231,7 @@ def build_thm2_map(ctx: PrecisionContext, s_table: list,
                    z_digits: int) -> DynamicMap:
     """x = a + b*p + z*p**2: fix when a = 0, project to z when b = 0,
     otherwise cycle b and apply the transported shift to z."""
-    p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
+    p, D = ctx.prime, ctx.total_digits
     if z_digits != D - 2:
         raise BadParams("z digit count must be total_digits - 2")
     if len(s_table) < p ** z_digits:
@@ -287,12 +291,12 @@ class NonShadowingResult:
     delta: NormValue              # chart-level pseudo-orbit bound (met)
     eps: NormValue                # chart-level shadowing tolerance tested
     best_point: int
-    best_error_f: NormValue       # exhaustive minimum at the lifted level
+    best_error_f: NormValue       # exact minimum at the lifted level
     best_error_s: NormValue       # the same, rescaled to the chart level
     shadowed: bool                # best_error_s <= eps
 
 
-def _splice_orbit(chart: CantorChart, s_table: list, q: int) -> tuple:
+def _splice_orbit(chart: CantorChart, q: int) -> tuple:
     """Pseudo-orbit faking the word 1 0^q 1: follow eta = 1 0^(q+1) 1 for
     two steps, then continue from eta' = 0^q 1 with the fault hidden at
     word depth q-1."""
@@ -311,7 +315,7 @@ def demonstrate_non_shadowing(p: int, chart_depth: int, delta: NormValue,
                               chart: Optional[CantorChart] = None
                               ) -> NonShadowingResult:
     """Construct a delta-pseudo-orbit of the transported shift, lift it,
-    and measure exhaustively how well any residue shadows it.
+    and measure exactly how well any residue shadows it.
 
     The chart-level faked run length q grows (odd values only — an even
     run would be admissible) until the splice fault drops below delta.
@@ -333,7 +337,7 @@ def demonstrate_non_shadowing(p: int, chart_depth: int, delta: NormValue,
     orbit_s = None
     chosen_q = None
     for q in range(3, max_q + 1, 2):
-        pts = _splice_orbit(chart, s_table, q)
+        pts = _splice_orbit(chart, q)
         defect = z_ctx.max_norm(
             [s_table[pts[n]] - pts[n + 1] for n in range(len(pts) - 1)])
         if defect <= delta:
@@ -353,7 +357,6 @@ def demonstrate_non_shadowing(p: int, chart_depth: int, delta: NormValue,
     if worst > orbit_f.delta:
         raise NoWitnessFound(f"lifted orbit defect {worst!r} exceeds bound")
 
-    f.tabulate()
     best_point, best_error_f = brute_force_shadow(f, orbit_f)
     if best_error_f.is_zero:
         best_error_s = best_error_f

@@ -130,7 +130,7 @@ def orbit_error(f: DynamicMap, orbit: PseudoOrbit, x: int) -> NormValue:
 
 def brute_force_shadow(f: DynamicMap, orbit: PseudoOrbit,
                        respect_loss: bool = False) -> tuple:
-    """Exhaustive oracle: the residue minimising max_n |f^n(x) - x_n|.
+    """Exact oracle: the residue minimising max_n |f^n(x) - x_n|.
 
     Returns (best_point, best_error).  Ties resolve to the smallest
     residue.  Requires an enumerable context.
@@ -139,32 +139,64 @@ def brute_force_shadow(f: DynamicMap, orbit: PseudoOrbit,
     leaves uncertified after n steps (positions >= D - n*loss) are not
     counted as errors: they are truncation artifacts, not evidence that
     the candidate misses the orbit.
+
+    The n = 0 term bounds every candidate's error from below: the error
+    of x is at least |x - x_0|, i.e. minval(x) <= v(x - x_0), and that
+    term is never a loss artifact.  So a residue whose error is below
+    p^-k lies in the ball x = x_0 mod p^k.  The search scores x_0, then
+    widens the ball one level at a time, scoring only the new annulus
+    {v(x - x_0) = k} (no residue is scored twice), and stops at the first
+    level k whose best valuation is >= k: every residue outside the ball
+    scores below k, so it can neither beat nor tie the best.  A best
+    valuation of 0 is the least there is, so then every residue ties and
+    the answer is residue 0.  At most M/p residues are scored, against
+    the flat scan's M.
     """
     ctx = orbit.ctx
     p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
     if M > ctx.ball_budget:
         raise BudgetExceeded(f"{M} residues exceed enumeration budget")
-    pts = orbit.points
-    L = len(pts) - 1
+    x0 = orbit.points[0] % M
+    tail = orbit.points[1:]
     loss = f.precision_loss if respect_loss else 0
+    # digits of f^n(x) still certified after n steps
+    caps = [D - n * loss for n in range(1, len(tail) + 1)]
 
-    best_point, best_minval = 0, -1
-    for x in range(M):
+    def score(x, minval, need):
+        """min over n of v(f^n(x) - x_n), starting from minval = v(x - x_0)
+        and abandoned (returning less than need) once it drops below need."""
         y = x
-        minval = valuation((y - pts[0]) % M, p, D)
-        for n in range(L):
-            if minval <= best_minval:
+        for xn, cap in zip(tail, caps):
+            if minval < need:
                 break
             y = f(y)
-            v = valuation((y - pts[n + 1]) % M, p, D)
+            v = valuation((y - xn) % M, p, D)
             # a difference only in the uncertified digits is no error
-            if v < minval and v < D - (n + 1) * loss:
+            if v < minval and v < cap:
                 minval = v
-        if minval > best_minval:
-            best_minval = minval
-            best_point = x
-    if best_minval >= D:
+        return minval
+
+    best_point, best = x0, score(x0, D, 0)
+    k = D
+    while best < k:
+        k -= 1
+        if k == 0:
+            # best is 0, the least valuation: every residue ties with it
+            best_point = 0
+            break
+        step = p ** k
+        base, inner = x0 % step, (x0 // step) % p
+        for j in range(p ** (D - k)):
+            if j % p == inner:             # the ball already scored
+                continue
+            x = base + j * step
+            # x wins with a larger valuation, or an equal one if smaller
+            need = best if x < best_point else best + 1
+            v = score(x, k, need)
+            if v >= need:
+                best, best_point = v, x
+    if best >= D:
         err = norm_zero(p, ctx.resolution_exp)
     else:
-        err = NormValue(p, ctx.u_min + best_minval)
+        err = NormValue(p, ctx.u_min + best)
     return best_point, err

@@ -2,10 +2,12 @@
 piecewise map and its non-covering right inverses, and the pseudo-orbit
 that no true orbit shadows."""
 
+import hashlib
 import random
 
 import pytest
 
+from padic_dynamics import counterexample
 from padic_dynamics.counterexample import (
     build_cantor_chart,
     build_thm2_map,
@@ -17,6 +19,8 @@ from padic_dynamics.counterexample import (
 from padic_dynamics.errors import BadParams, NoWitnessFound
 from padic_dynamics.padic import NormValue, PrecisionContext
 from padic_dynamics.shadowing import verify_pseudo_orbit, PseudoOrbit
+
+from test_shadowing import _ref_brute_force_shadow, counting_map
 
 
 def has_forbidden_run(word):
@@ -177,6 +181,25 @@ def test_chart_distance_tracks_shared_prefix():
             best = max(best, n)
 
 
+# SHA-256 of repr(transported_shift_table(chart)), pinned when the chart
+# nodes became tuples: the tables must not move.
+SHIFT_TABLE_DIGESTS = {
+    ("even", 3, 8):
+        "f579bc787be6db6392dbb3b4c96a331c80e8f58fee94991799fec119c80ea42c",
+    ("full", 3, 8):
+        "eed3b3fc7d2f27e46e59f2cd7404b2d1381e9f010c3e3d6a7c167dd234c952ae",
+    ("even", 5, 4):
+        "65dfa98006529f9d5bf922fd2ecd2bc8946e42656097dbad329afddca06446d5",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SHIFT_TABLE_DIGESTS))
+def test_transported_shift_table_is_pinned(key):
+    table = transported_shift_table(build_cantor_chart(*key))
+    digest = hashlib.sha256(repr(table).encode()).hexdigest()
+    assert digest == SHIFT_TABLE_DIGESTS[key]
+
+
 def test_transported_shift_conjugates_word_shift():
     chart = build_cantor_chart("even", 3, 6)
     s = transported_shift_table(chart)
@@ -271,6 +294,35 @@ def test_witness_requirement_raises_on_control():
     delta, eps = NormValue(3, 4), NormValue(3, 1)
     with pytest.raises(NoWitnessFound):
         demonstrate_non_shadowing(3, 7, delta, eps, "full")
+
+
+@pytest.mark.parametrize("depth", [6, 7])
+@pytest.mark.parametrize("subshift", ["even", "full"])
+def test_demo_matches_flat_oracle_without_tabulating(monkeypatch, subshift,
+                                                     depth):
+    """Both demos report the flat reference scan's best point and error,
+    and evaluate the lifted map on fewer than M/p residues (tabulating it
+    would take M)."""
+    delta, eps = NormValue(3, 4), NormValue(3, 1)
+    counts = []
+
+    def counted_map(*args):
+        g, calls = counting_map(build_thm2_map(*args))
+        counts.append(calls)
+        return g
+
+    monkeypatch.setattr(counterexample, "build_thm2_map", counted_map)
+    res = demonstrate_non_shadowing(3, depth, delta, eps, subshift,
+                                    require_witness=False)
+    ctx = PrecisionContext(3, depth + 2)
+    assert len(counts) == 1 and counts[0][0] < ctx.modulus // 3
+
+    chart = build_cantor_chart(subshift, 3, depth)
+    f = build_thm2_map(ctx, transported_shift_table(chart), depth)
+    orbit = PseudoOrbit(ctx, res.orbit_f, delta.scaled(2))
+    assert (res.best_point, res.best_error_f) == \
+        _ref_brute_force_shadow(f, orbit)
+    assert res.shadowed == (subshift == "full" and depth == 7)
 
 
 def test_lifted_orbit_is_a_valid_pseudo_orbit():

@@ -4,16 +4,29 @@ import random
 
 import pytest
 
-from padic_dynamics.counterexample import thm2_right_inverses
+from padic_dynamics.counterexample import (
+    build_cantor_chart,
+    build_thm2_map,
+    thm2_right_inverses,
+    transported_shift_table,
+)
 from padic_dynamics.dynamics import (
+    DynamicMap,
     bijective_isometry,
     builtin_map,
     furno_compose,
     locally_scaling_inverses,
+    make_lipschitz_perturbation,
+    perturb,
     shift_right_inverses,
 )
 from padic_dynamics.errors import BudgetExceeded, CoveringViolation
-from padic_dynamics.padic import NormValue, PrecisionContext
+from padic_dynamics.padic import (
+    NormValue,
+    PrecisionContext,
+    norm_zero,
+    valuation,
+)
 from padic_dynamics.shadowing import (
     PseudoOrbit,
     brute_force_shadow,
@@ -159,6 +172,110 @@ def test_brute_force_prefers_smallest_residue_on_ties():
     orbit = PseudoOrbit(ctx, (0, 0), NormValue(2, 1))
     point, err = brute_force_shadow(f, orbit)
     assert point == 0 and err.is_zero
+
+
+def _ref_brute_force_shadow(f, orbit, respect_loss=False):
+    """Reference: the flat scan the ball-widening oracle replaced.  Every
+    residue in ascending order, each abandoned once it cannot beat the
+    best so far, so ties keep the smallest residue."""
+    ctx = orbit.ctx
+    p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
+    pts = orbit.points
+    L = len(pts) - 1
+    loss = f.precision_loss if respect_loss else 0
+
+    best_point, best_minval = 0, -1
+    for x in range(M):
+        y = x
+        minval = valuation((y - pts[0]) % M, p, D)
+        for n in range(L):
+            if minval <= best_minval:
+                break
+            y = f(y)
+            v = valuation((y - pts[n + 1]) % M, p, D)
+            if v < minval and v < D - (n + 1) * loss:
+                minval = v
+        if minval > best_minval:
+            best_minval = minval
+            best_point = x
+    if best_minval >= D:
+        err = norm_zero(p, ctx.resolution_exp)
+    else:
+        err = NormValue(p, ctx.u_min + best_minval)
+    return best_point, err
+
+
+def counting_map(f):
+    """f behind a counter of its evaluations: (map, [calls])."""
+    calls = [0]
+
+    def fn(m, f=f):
+        calls[0] += 1
+        return f(m)
+
+    return DynamicMap(f.name, f.ctx, fn, f.precision_loss), calls
+
+
+def _oracle_maps():
+    for p, N, name in ((2, 8, "shift_zp"), (3, 5, "shift_zp"),
+                       (5, 3, "shift_zp"), (2, 8, "example2_L")):
+        yield builtin_map(name, PrecisionContext(p, N))
+    ctx = PrecisionContext(3, 6)
+    phi = make_lipschitz_perturbation(ctx, "digit_local", NormValue(3, 2),
+                                      seed=7)
+    yield perturb(builtin_map("shift_zp", ctx), phi)
+    for depth in (4, 5):
+        chart = build_cantor_chart("even", 3, depth)
+        yield build_thm2_map(PrecisionContext(3, depth + 2),
+                             transported_shift_table(chart), depth)
+
+
+def _oracle_orbits(f, rng):
+    """Seeded pseudo-orbits of several lengths and defects, plus exact
+    orbits (zero error)."""
+    ctx = f.ctx
+    for _ in range(8):
+        delta = NormValue(ctx.prime, rng.randrange(ctx.total_digits))
+        yield random_pseudo_orbit(f, delta, rng.randrange(6),
+                                  rng.randrange(1 << 20))
+    for _ in range(2):
+        pts = [rng.randrange(ctx.modulus)]
+        for _ in range(rng.randrange(1, 5)):
+            pts.append(f(pts[-1]))
+        yield PseudoOrbit(ctx, tuple(pts), NormValue(ctx.prime, 1))
+
+
+def test_oracle_matches_flat_reference_scan():
+    """The ball-widening oracle returns the flat scan's (point, error),
+    ties included, with and without respect_loss.  It evaluates f at most
+    L times per residue of the ball x = x_0 mod p^max(b, 1), b the best
+    valuation, and over the grid no more often than the flat scan.  A
+    single case can cost a few more evaluations: the flat scan may meet a
+    good residue early and then drop every later one before its first
+    step, where the ball search scores the deep annuli first."""
+    rng = random.Random(9)
+    cases = exact = ties = new_total = ref_total = 0
+    for f in _oracle_maps():
+        p, D, M = f.ctx.prime, f.ctx.total_digits, f.ctx.modulus
+        for orbit in _oracle_orbits(f, rng):
+            for respect_loss in (False, True):
+                g, calls = counting_map(f)
+                want = _ref_brute_force_shadow(g, orbit, respect_loss)
+                ref_total += calls[0]
+                calls[0] = 0
+                assert brute_force_shadow(g, orbit, respect_loss) == want
+                new_total += calls[0]
+                b = D if want[1].is_zero else want[1].exponent - f.ctx.u_min
+                assert calls[0] <= (len(orbit) - 1) * p ** (D - max(b, 1))
+                cases += 1
+                exact += want[1].is_zero
+                # x_0 is optimal and a smaller residue ties with it: only
+                # the tie rule picks the smaller one
+                x0 = orbit.points[0] % M
+                ties += want[0] < x0 and orbit_error(f, orbit, x0) == want[1]
+    assert cases == 7 * 10 * 2
+    assert exact >= 14 and ties >= 10
+    assert new_total <= ref_total
 
 
 def test_covering_violation_reported_with_step():
