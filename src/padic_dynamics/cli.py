@@ -78,7 +78,7 @@ def build_map(spec: str, ctx: PrecisionContext):
         iso = params.pop("iso", "triangular")
         seed = int(params.pop("seed", 0))
         w = dynamics.bijective_isometry(ctx, iso, seed)
-        return dynamics.furno_compose(w, k), dynamics.locally_scaling_inverses(w, k, check=False)
+        return dynamics.furno_compose(w, k), dynamics.locally_scaling_inverses(w, k)
     f = dynamics.builtin_map(name, ctx, **params)
     family = None
     if name in ("shift_zp", "shift_qp"):

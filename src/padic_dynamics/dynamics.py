@@ -8,9 +8,12 @@ here is pure and deterministic (seeded where randomness is called for).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import cycle
+from operator import sub
 from typing import Callable, Optional
 
 from .errors import (
@@ -23,9 +26,6 @@ from .errors import (
     WindowViolation,
 )
 from .padic import NormValue, PAdic, PrecisionContext, valuation
-
-# seeded pairs check_isometry samples on contexts too large to tabulate
-CHECK_SAMPLE = 4096
 
 
 @dataclass
@@ -104,9 +104,64 @@ def _as_scaled(ctx: PrecisionContext, value) -> int:
     raise BadParams(f"expected int or PAdic parameter, got {type(value).__name__}")
 
 
+def _digit_table(ctx: PrecisionContext, rows: list) -> list:
+    """The table of a triangular digit map on residues mod p**len(rows).
+
+    Row i gives output digit i as a function of x mod p**(i+1); the table
+    is built by level doubling, T_(i+1) = [t + d p**i for t, d in
+    zip(T_i * p, rows[i])].
+    """
+    p = ctx.prime
+    if p ** len(rows) > ctx.ball_budget:
+        raise BudgetExceeded("digit table exceeds the ball budget")
+    table = [0]
+    pw = 1
+    for row in rows:
+        table = [t + d * pw for t, d in zip(table * p, row)]
+        pw *= p
+    return table
+
+
+def _lookup(short: list) -> Callable[[int], int]:
+    """x -> short[x mod len(short)], for maps that read only x mod len(short)."""
+    return lambda m, t=short, L=len(short): t[m % L]
+
+
+def _inverse_permutation(table: list) -> list:
+    inv = [0] * len(table)
+    for m, im in enumerate(table):
+        inv[im] = m
+    return inv
+
+
 # ---------------------------------------------------------------------------
 # bijective isometries (building blocks for locally scaling maps)
 # ---------------------------------------------------------------------------
+
+def _isometry_rows(ctx: PrecisionContext, kind: str, seed: int,
+                   levels: int) -> tuple:
+    """The name and first `levels` digit rows of a catalog isometry.
+
+    The seeded draws run level by level, so the first rows do not depend
+    on how many levels are taken.
+    """
+    p = ctx.prime
+    if kind not in ("identity", "alphabet", "triangular"):
+        raise UnknownMap(f"unknown isometry kind {kind!r}")
+    rng = random.Random(seed)
+    rows = []
+    for i in range(levels):
+        if kind == "triangular":
+            offsets = [rng.randrange(p) for _ in range(p ** i)]
+            rows.append([(d + o) % p for d in range(p) for o in offsets])
+        else:
+            perm = list(range(p))
+            if kind == "alphabet":
+                rng.shuffle(perm)
+            rows.append([v for v in perm for _ in range(p ** i)])
+    name = "iso.identity" if kind == "identity" else f"iso.{kind}[{seed}]"
+    return name, rows
+
 
 def bijective_isometry(ctx: PrecisionContext, kind: str, seed: int = 0) -> DynamicMap:
     """Catalog of bijective isometries of the context space.
@@ -118,85 +173,34 @@ def bijective_isometry(ctx: PrecisionContext, kind: str, seed: int = 0) -> Dynam
     'triangular' -- seeded unit-triangular digit map: output digit i is
                     x_i plus an offset depending only on x mod p**i, which
                     is automatically a bijective isometry.
+
+    Each is built from its digit rows; BudgetExceeded above ball_budget.
     """
-    p, D = ctx.prime, ctx.total_digits
-    if kind == "identity":
-        return DynamicMap("iso.identity", ctx, lambda m: m, 0, Fraction(1), Fraction(1))
-    if kind == "alphabet":
-        rng = random.Random(seed)
-        perms = []
-        for _ in range(D):
-            perm = list(range(p))
-            rng.shuffle(perm)
-            perms.append(perm)
-
-        def fn(m, p=p, D=D, perms=perms):
-            out = 0
-            pw = 1
-            for i in range(D):
-                out += perms[i][(m // pw) % p] * pw
-                pw *= p
-            return out
-
-        return DynamicMap(f"iso.alphabet[{seed}]", ctx, fn, 0,
-                          Fraction(1), Fraction(1), {"seed": seed})
-    if kind == "triangular":
-        # per-level offset tables: level i maps each prefix class (x mod p^i)
-        # to a digit offset; unit diagonal keeps it bijective and isometric.
-        rng = random.Random(seed)
-        offsets = [[rng.randrange(p) for _ in range(p ** i)] for i in range(D)]
-
-        def fn(m, p=p, D=D, offsets=offsets):
-            out = 0
-            prefix = 0
-            pw = 1
-            for i in range(D):
-                d = (m // pw) % p
-                out += ((d + offsets[i][prefix]) % p) * pw
-                prefix += d * pw
-                pw *= p
-            return out
-
-        return DynamicMap(f"iso.triangular[{seed}]", ctx, fn, 0,
-                          Fraction(1), Fraction(1), {"seed": seed})
-    raise UnknownMap(f"unknown isometry kind {kind!r}")
+    name, rows = _isometry_rows(ctx, kind, seed, ctx.total_digits)
+    params = {} if kind == "identity" else {"seed": seed}
+    return DynamicMap(name, ctx, _lookup(_digit_table(ctx, rows)), 0,
+                      Fraction(1), Fraction(1), params)
 
 
 def check_isometry(w: DynamicMap) -> None:
     """Raise NotBijective / NotIsometry unless w is a bijective isometry.
 
-    Exhaustive for tabulable contexts: w is an isometry exactly when, for
-    every level j, it induces a well-defined bijection on residues mod p**j
-    (two points first differing at digit j then stay distinguished there).
-    Falls back to CHECK_SAMPLE seeded pairs on huge contexts.
+    Exhaustive over the tabulated map (BudgetExceeded above ball_budget):
+    w is an isometry exactly when, for every level j, it induces a
+    well-defined bijection on residues mod p**j (two points first
+    differing at digit j then stay distinguished there).  A bijection's
+    well-defined reduction is onto Z/p^j, so it is injective.
     """
     ctx = w.ctx
     p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
-    if M <= ctx.ball_budget:
-        table = w.tabulate()
-        if len(set(table)) != M:
-            raise NotBijective(f"{w.name} is not a bijection on {M} residues")
-        for j in range(1, D + 1):
-            pj = p ** j
-            reduced = {}
-            for m, im in enumerate(table):
-                key = m % pj
-                val = im % pj
-                prev = reduced.get(key)
-                if prev is None:
-                    reduced[key] = val
-                elif prev != val:
-                    raise NotIsometry(
-                        f"{w.name} not constant on a radius p^-{j} ball")
-            # a bijection's well-defined reduction is onto Z/p^j, so injective
-        return
-    rng = random.Random(0)
-    for _ in range(CHECK_SAMPLE):
-        x, y = rng.randrange(M), rng.randrange(M)
-        if x == y:
-            continue
-        if ctx.norm_of_int(w(x) - w(y)) != ctx.norm_of_int(x - y):
-            raise NotIsometry(f"{w.name} fails isometry on sampled pair")
+    table = w.tabulate()
+    if len(set(table)) != M:
+        raise NotBijective(f"{w.name} is not a bijection on {M} residues")
+    for j in range(1, D + 1):
+        pj = p ** j
+        # w(x) = w(x mod p^j) mod p^j for every x
+        if math.gcd(M, *map(sub, table[pj:], cycle(table[:pj]))) % pj:
+            raise NotIsometry(f"{w.name} not constant on a radius p^-{j} ball")
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +245,15 @@ def builtin_map(name: str, ctx: PrecisionContext, **params) -> DynamicMap:
         iso = params.get("iso", "triangular")
         seed = int(params.get("seed", 0))
         c = _as_scaled(ctx, params.get("c", 0))
-        w = iso if isinstance(iso, DynamicMap) else bijective_isometry(ctx, iso, seed)
+        # p^k w(x) mod M reads only the first D - k digits of w(x), which
+        # depend only on x mod p^(D-k)
+        iso_name, rows = _isometry_rows(ctx, iso, seed, D - k)
         pk = p ** k
         lip = _pow_norm(p, k)
+        short = [(pk * v + c) % M for v in _digit_table(ctx, rows)]
         return DynamicMap(
-            f"scaled_isometry[{k},{w.name}]", ctx,
-            lambda m, w=w, pk=pk, c=c, M=M: (pk * w(m) + c) % M,
-            0, lip, lip, {"m": k, "iso": w, "c": c})
+            f"scaled_isometry[{k},{iso_name}]", ctx, _lookup(short),
+            0, lip, lip, {"m": k, "iso": iso, "seed": seed, "c": c})
 
     if name == "example2_R":
         # digit i of x lands at position 2i+1; doubles the spacing.
@@ -398,19 +404,10 @@ def make_lipschitz_perturbation(ctx: PrecisionContext, kind: str,
         rng = random.Random(seed)
         # g triangular: digit i of g depends only on x mod p^i, so g is
         # 1-Lipschitz; phi = p^k * g is then delta-Lipschitz with sup<=delta.
-        levels = [[rng.randrange(p) for _ in range(p ** i)]
-                  for i in range(D - k)]
-
-        def fn(m, p=p, k=k, levels=levels, M=M):
-            out = 0
-            pw = 1
-            prefix = 0
-            for table in levels:
-                d = (m // pw) % p
-                out += table[prefix] * pw
-                prefix += d * pw
-                pw *= p
-            return (out * p ** k) % M
+        rows = [[rng.randrange(p) for _ in range(p ** i)] * p
+                for i in range(D - k)]
+        pk = p ** k
+        fn = _lookup([v * pk for v in _digit_table(ctx, rows)])
 
         mp = DynamicMap(f"phi.digit_local[{seed}]", ctx, fn, 0,
                         delta.as_fraction(), None, {"seed": seed, "k": k})
@@ -490,22 +487,18 @@ def furno_compose(w: DynamicMap, k: int) -> DynamicMap:
     return f
 
 
-def locally_scaling_inverses(w: DynamicMap, k: int,
-                             check: bool = True) -> RightInverseFamily:
+def locally_scaling_inverses(w: DynamicMap, k: int) -> RightInverseFamily:
     """The p**k right inverses of S^k o w: R_a = w^-1 o R_a1 o ... o R_ak.
 
-    The index integer a < p**k encodes the digit word (a1..ak) with a1 the
-    lowest digit; membership is read off the first k digits of w(x).
+    w must be a bijective isometry (furno_compose checks it).  The index
+    integer a < p**k encodes the digit word (a1..ak) with a1 the lowest
+    digit; membership is read off the first k digits of w(x).
     """
-    if check:
-        check_isometry(w)
     ctx = w.ctx
     p, M = ctx.prime, ctx.modulus
     pk = p ** k
     table = w.tabulate()
-    inv = [0] * M
-    for m, im in enumerate(table):
-        inv[im] = m
+    inv = _inverse_permutation(table)
     members = tuple(
         DynamicMap(f"R[{a}]", ctx,
                    lambda m, a=a, pk=pk, inv=inv, M=M: inv[(a + pk * m) % M],
@@ -529,11 +522,9 @@ def left_inverse_for(R: DynamicMap) -> DynamicMap:
 
         return DynamicMap("affine.left_inv", ctx, fn, mv, _pow_norm(p, -mv))
     if R.name.startswith("scaled_isometry"):
-        k, wmap, c = R.params["m"], R.params["iso"], R.params["c"]
-        table = wmap.tabulate()
-        inv = [0] * M
-        for m, im in enumerate(table):
-            inv[im] = m
+        k, c = R.params["m"], R.params["c"]
+        w = bijective_isometry(ctx, R.params["iso"], R.params["seed"])
+        inv = _inverse_permutation(w.tabulate())
 
         def fn(m, c=c, pk=p ** k, inv=inv, M=M):
             return inv[((m - c) % M) // pk]

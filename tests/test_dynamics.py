@@ -22,7 +22,9 @@ from padic_dynamics.dynamics import (
 )
 from padic_dynamics.errors import (
     BadParams,
+    BudgetExceeded,
     DeltaTooSmall,
+    NotBijective,
     NotIsometry,
     UnknownMap,
     WindowViolation,
@@ -303,3 +305,221 @@ def test_left_inverse_for_affine_and_scaled_isometry():
         cert = 3 ** (ctx.total_digits - order)
         for x in range(ctx.modulus):
             assert (L(R(x)) - x) % cert == 0
+
+
+# ---------------------------------------------------------------------------
+# digit-row tables against the per-residue digit loops they replaced
+# ---------------------------------------------------------------------------
+
+# Zp contexts 2^6, 2^9, 3^5, 3^7, 5^4 and two Qp windows (6 and 5 digits)
+ROW_CONTEXTS = [
+    PrecisionContext(2, 6), PrecisionContext(2, 9), PrecisionContext(3, 5),
+    PrecisionContext(3, 7), PrecisionContext(5, 4),
+    PrecisionContext(2, 4, -1, 1, "Qp"), PrecisionContext(3, 3, -1, 1, "Qp"),
+]
+ROW_SEEDS = (0, 1, 7, 99)
+ISO_KINDS = ("identity", "alphabet", "triangular")
+
+
+def ctx_id(ctx):
+    return f"{ctx.space_tag}-{ctx.prime}^{ctx.total_digits}"
+
+
+def ref_isometry(ctx, kind, seed):
+    """Reference: name and per-residue digit loop of a catalog isometry."""
+    p, D = ctx.prime, ctx.total_digits
+    if kind == "identity":
+        return "iso.identity", lambda m: m
+    rng = random.Random(seed)
+    if kind == "alphabet":
+        perms = []
+        for _ in range(D):
+            perm = list(range(p))
+            rng.shuffle(perm)
+            perms.append(perm)
+
+        def fn(m):
+            out = 0
+            pw = 1
+            for i in range(D):
+                out += perms[i][(m // pw) % p] * pw
+                pw *= p
+            return out
+
+        return f"iso.alphabet[{seed}]", fn
+    offsets = [[rng.randrange(p) for _ in range(p ** i)] for i in range(D)]
+
+    def fn(m):
+        out = 0
+        prefix = 0
+        pw = 1
+        for i in range(D):
+            d = (m // pw) % p
+            out += ((d + offsets[i][prefix]) % p) * pw
+            prefix += d * pw
+            pw *= p
+        return out
+
+    return f"iso.triangular[{seed}]", fn
+
+
+def ref_digit_local(ctx, k, seed):
+    """Reference: the per-residue digit loop of phi.digit_local."""
+    p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
+    rng = random.Random(seed)
+    levels = [[rng.randrange(p) for _ in range(p ** i)] for i in range(D - k)]
+
+    def fn(m):
+        out = 0
+        pw = 1
+        prefix = 0
+        for table in levels:
+            d = (m // pw) % p
+            out += table[prefix] * pw
+            prefix += d * pw
+            pw *= p
+        return (out * p ** k) % M
+
+    return fn
+
+
+def ref_check_isometry(w):
+    """Reference: the per-level dict pass check_isometry replaced."""
+    ctx = w.ctx
+    p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
+    table = w.tabulate()
+    if len(set(table)) != M:
+        raise NotBijective(f"{w.name} is not a bijection on {M} residues")
+    for j in range(1, D + 1):
+        pj = p ** j
+        reduced = {}
+        for m, im in enumerate(table):
+            key = m % pj
+            val = im % pj
+            prev = reduced.get(key)
+            if prev is None:
+                reduced[key] = val
+            elif prev != val:
+                raise NotIsometry(
+                    f"{w.name} not constant on a radius p^-{j} ball")
+
+
+@pytest.mark.parametrize("ctx", ROW_CONTEXTS, ids=ctx_id)
+def test_isometry_and_scaled_isometry_tables_match_digit_loops(ctx):
+    p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
+    for kind in ISO_KINDS:
+        for seed in ROW_SEEDS:
+            name, ref = ref_isometry(ctx, kind, seed)
+            wt = [ref(m) for m in range(M)]
+            w = bijective_isometry(ctx, kind, seed)
+            assert w.name == name
+            assert w.lip_upper == w.lip_lower == 1
+            assert w.tabulate() == wt
+            check_isometry(w)
+            inv = [0] * M
+            for m, im in enumerate(wt):
+                inv[im] = m
+            for k in (1, 2, 3):
+                pk = p ** k
+                for c in (0, 5):
+                    R = builtin_map("scaled_isometry", ctx, m=k, iso=kind,
+                                    seed=seed, c=c)
+                    assert R.name == f"scaled_isometry[{k},{name}]"
+                    assert R.lip_upper == R.lip_lower == Fraction(1, pk)
+                    assert R.params == {"m": k, "iso": kind, "seed": seed,
+                                        "c": c}
+                    # the closure scaled_isometry evaluated, m -> p^k w(m) + c
+                    assert R.tabulate() == [(pk * v + c) % M for v in wt]
+                    L = left_inverse_for(R)
+                    assert L.name == f"{R.name}.left_inv"
+                    assert L.precision_loss == k and L.lip_upper == pk
+                    assert L.tabulate() == [inv[((m - c) % M) // pk]
+                                            for m in range(M)]
+
+
+@pytest.mark.parametrize("ctx", ROW_CONTEXTS, ids=ctx_id)
+def test_digit_local_tables_match_digit_loop(ctx):
+    D, M = ctx.total_digits, ctx.modulus
+    for k in range(D):
+        delta = NormValue(ctx.prime, k + ctx.u_min)
+        for seed in ROW_SEEDS:
+            phi = make_lipschitz_perturbation(ctx, "digit_local", delta, seed)
+            ref = ref_digit_local(ctx, k, seed)
+            assert phi.map.name == f"phi.digit_local[{seed}]"
+            assert phi.map.lip_upper == delta.as_fraction()
+            assert phi.map.lip_lower is None
+            assert phi.map.params == {"seed": seed, "k": k}
+            assert phi.map.tabulate() == [ref(m) for m in range(M)]
+
+
+def test_digit_tables_respect_ball_budget():
+    ctx = PrecisionContext(2, 6, ball_budget=16)
+    with pytest.raises(BudgetExceeded):
+        bijective_isometry(ctx, "triangular", 3)
+    with pytest.raises(BudgetExceeded):
+        builtin_map("scaled_isometry", ctx, m=1)
+    with pytest.raises(BudgetExceeded):
+        make_lipschitz_perturbation(ctx, "digit_local", NormValue(2, 1))
+    with pytest.raises(BudgetExceeded):
+        check_isometry(identity_map(ctx))
+    # p^k w(x) reads only x mod p^(D-k): 2^4 residues fit the budget
+    R = builtin_map("scaled_isometry", ctx, m=2, seed=3)
+    big = PrecisionContext(2, 6)
+    assert [R(m) for m in range(64)] == \
+        builtin_map("scaled_isometry", big, m=2, seed=3).tabulate()
+    phi = make_lipschitz_perturbation(ctx, "digit_local", NormValue(2, 2), 5)
+    assert [phi(m) for m in range(64)] == make_lipschitz_perturbation(
+        big, "digit_local", NormValue(2, 2), 5).map.tabulate()
+
+
+def _mutants(table, p, D, rng):
+    """Swapped, colliding and digit-mixed variants of a residue table."""
+    M = len(table)
+    for _ in range(4):
+        x, y = rng.sample(range(M), 2)
+        swapped = list(table)
+        swapped[x], swapped[y] = swapped[y], swapped[x]
+        yield swapped
+        colliding = list(table)
+        colliding[x] = colliding[y]
+        yield colliding
+    for i in range(D - 1):
+        j = rng.randrange(i + 1, D)
+        pi, pj = p ** i, p ** j
+
+        def swap_digits(v, pi=pi, pj=pj):
+            a, b = (v // pi) % p, (v // pj) % p
+            return v + (b - a) * pi + (a - b) * pj
+
+        yield [swap_digits(v) for v in table]             # output digits
+        yield [table[swap_digits(m)] for m in range(M)]   # input digits
+        yield [(v + ((m // pj) % p) * pi) % M for m, v in enumerate(table)]
+
+
+def _outcome(check, w):
+    try:
+        check(w)
+    except (NotBijective, NotIsometry) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_check_isometry_matches_dict_pass_on_mutated_tables():
+    rng = random.Random(2024)
+    outcomes = set()
+    for ctx in (PrecisionContext(2, 6), PrecisionContext(3, 4),
+                PrecisionContext(5, 3), PrecisionContext(2, 4, -1, 1, "Qp")):
+        p, D = ctx.prime, ctx.total_digits
+        for kind in ISO_KINDS:
+            table = bijective_isometry(ctx, kind, rng.randrange(100)).tabulate()
+            for bad in _mutants(table, p, D, rng):
+                got = _outcome(check_isometry,
+                               DynamicMap("mut", ctx, bad.__getitem__))
+                want = _outcome(ref_check_isometry,
+                                DynamicMap("mut", ctx, bad.__getitem__))
+                assert got == want
+                outcomes.add(got)
+    # passes, both error classes and several failing levels all occur
+    assert None in outcomes
+    assert {o[0] for o in outcomes if o} == {NotBijective, NotIsometry}
+    assert len({o[1] for o in outcomes if o and o[0] is NotIsometry}) >= 3
