@@ -4,8 +4,10 @@ transporting a strictly sofic binary subshift onto the p-adic integers.
 The chart identifies cylinder classes of the subshift with digit balls:
 each tree level splits a class of admissible words into p nonempty groups
 aligned to word subtrees, so two chart images are close exactly when the
-underlying words share a long prefix.  The chart is built in one pass
-that records each leaf under its residue and every leaf word under that
+underlying words share a long prefix.  The even-shift chart is built
+level by level by a split search; the full-shift chart is the base-p
+digit chart, which that search would find, written down directly.  Each
+leaf is recorded under its residue and every leaf word under that
 residue, so encoding and decoding are lookups, not tree walks.
 
 The transported shift s acts on the top digit block of x = a + b*p +
@@ -15,18 +17,20 @@ cycles b while applying s.
 Its right inverses R_a(x) = a + p**2 x never cover the space, and the
 pseudo-orbits assembled here exploit that: a single fault hidden `delta`
 deep fakes an odd zero-run flanked by ones, which no true orbit of the
-even shift can shadow, while the identical pipeline over the full shift
-is shadowed by an honest point.
+even shift can shadow, while the identical demonstration over the full
+shift's (closed-form) chart is shadowed by an honest point.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import (
     BadParams,
@@ -58,11 +62,6 @@ def _even_extensions(word: Tuple[int, ...]) -> List[int]:
     if not (flanked and r % 2 == 1):
         out.append(1)
     return out
-
-
-def _full_extensions_factory(p: int) -> Callable[[Tuple[int, ...]], List[int]]:
-    letters = list(range(p))
-    return lambda word: letters
 
 
 class _NeedMore(Exception):
@@ -122,17 +121,89 @@ def _split_aligned(words: list, pos: int, k: int) -> list:
     return blocks
 
 
-def _extend_words(words: list, extensions) -> list:
+def _extend_words(words: list) -> list:
     """One letter of growth for every word in the class."""
     grown = []
     for w in words:
-        exts = extensions(w)
+        exts = _even_extensions(w)
         if not exts:
             raise IsolatedPoint(f"word {w} has no admissible extension")
         for a in exts:
             grown.append(w + (a,))
     grown.sort()
     return grown
+
+
+def _split_levels(p: int, depth: int) -> tuple:
+    """Even-shift classes split level by level into p aligned blocks.
+
+    Class r of a level has residue r, and block i of class r becomes class
+    r + i*p**level of the next, so the children of node r sit at stride
+    p**level.  Returns the words of every internal node, one list per
+    level, and the leaves.
+    """
+    level = [_extend_words([()])]
+    internal = []
+    for _ in range(depth):
+        n = len(level)
+        works, nxt = [], [None] * (n * p)
+        for r, words in enumerate(level):
+            work = words
+            for _round in range(4 * p + 8):
+                if len(work) >= p:
+                    try:
+                        blocks = _split_aligned(work, 0, p)
+                        break
+                    except _NeedMore:
+                        pass
+                work = _extend_words(work)
+            else:
+                raise ChartExhausted(
+                    f"cannot split class {words[:2]}... into {p} groups")
+            works.append(tuple(work))
+            nxt[r::n] = [tuple(b) for b in blocks]
+        internal.append(works)
+        level = nxt
+    return internal, [ChartNode(ws, None, len(ws[0])) for ws in level]
+
+
+def _digit_levels(p: int, depth: int) -> tuple:
+    """The full-shift chart in closed form: the split builder cuts every
+    class at its last letter, so node r of level l holds the p words
+    digits(r, l) + (b,) (base-p digits, least significant first) and leaf
+    z the single word digits(z, depth)."""
+    digits, internal = [()], []
+    for lv in range(depth):
+        digits = [w + (b,) for b in range(p) for w in digits]
+        n = p ** lv
+        internal.append([tuple(digits[r::n]) for r in range(n)])
+    return internal, [ChartNode((w,), None, depth) for w in digits]
+
+
+def _link(internal: list, leaves: list) -> ChartNode:
+    """Root of the tree whose node r at each level has its children at
+    stride len(level) in the level below."""
+    below = leaves
+    for works in reversed(internal):
+        n = len(works)
+        below = [ChartNode(w, tuple(below[r::n]), len(w[0]))
+                 for r, w in enumerate(works)]
+    return below[0]
+
+
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic collector off, then restore the
+    caller's setting.  A chart is acyclic, so reference counting frees
+    it, while each full collection during a build would rescan every node
+    made so far."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass
@@ -174,45 +245,25 @@ class CantorChart:
 
 
 def build_cantor_chart(subshift: str, p: int, depth: int) -> CantorChart:
-    """Recursively split cylinder classes into p groups down to `depth`,
-    indexing each leaf by its residue sum(child index * p**level)."""
+    """Split cylinder classes into p groups down to `depth`, indexing each
+    leaf by its residue sum(child index * p**level).  The even shift runs
+    the split search; the full shift's split is base-p digits, built
+    directly."""
     if subshift == "even":
-        extensions = _even_extensions
+        levels = _split_levels
     elif subshift == "full":
-        extensions = _full_extensions_factory(p)
+        levels = _digit_levels
     else:
         raise BadParams(f"unknown subshift {subshift!r}")
     if depth < 1:
         raise BadParams("chart depth must be positive")
-    leaves = [None] * p ** depth
-    index = {}
-
-    def build(words: list, level: int, residue: int) -> ChartNode:
-        if level == depth:
-            node = ChartNode(tuple(words), None, len(words[0]))
-            leaves[residue] = node
-            for w in words:
-                index[w] = residue
-            return node
-        work = words
-        for _round in range(4 * p + 8):
-            if len(work) >= p:
-                try:
-                    blocks = _split_aligned(work, 0, p)
-                    break
-                except _NeedMore:
-                    pass
-            work = _extend_words(work, extensions)
-        else:
-            raise ChartExhausted(
-                f"cannot split class {words[:2]}... into {p} groups")
-        step = p ** level
-        children = tuple(build(b, level + 1, residue + i * step)
-                         for i, b in enumerate(blocks))
-        return ChartNode(tuple(work), children, len(work[0]))
-
-    root = build(_extend_words([()], extensions), 0, 0)
-    counts = Counter(len(leaf.words[0]) for leaf in leaves)
+    with _collector_paused():
+        internal, leaves = levels(p, depth)
+        # indexed before the internal nodes exist, so that the dict's last
+        # resize does not add to the build's peak memory
+        index = {w: z for z, leaf in enumerate(leaves) for w in leaf.words}
+        root = _link(internal, leaves)
+        counts = Counter(len(leaf.words[0]) for leaf in leaves)
     lengths = tuple(L for L, _ in counts.most_common())
     return CantorChart(p, depth, subshift, root, leaves, index, lengths)
 
@@ -323,6 +374,7 @@ def demonstrate_non_shadowing(p: int, chart_depth: int, delta: NormValue,
     carries the chart orbit in the top digit block, so its defects are
     delta * p**-2.  Errors are reported both at the lifted level and
     rescaled by p**2 back to the chart level, where `eps` applies.
+    A prebuilt `chart` must be the (subshift, p, chart_depth) chart.
     """
     if p < 3:
         raise BadParams("the construction needs p >= 3")
@@ -332,6 +384,10 @@ def demonstrate_non_shadowing(p: int, chart_depth: int, delta: NormValue,
     f_ctx = PrecisionContext(p, chart_depth + 2)
     if chart is None:
         chart = build_cantor_chart(subshift, p, chart_depth)
+    elif (chart.subshift, chart.p, chart.depth) != (subshift, p, chart_depth):
+        raise BadParams(
+            f"chart is ({chart.subshift}, p={chart.p}, depth={chart.depth}), "
+            f"not ({subshift}, p={p}, depth={chart_depth})")
     s_table = transported_shift_table(chart)
 
     orbit_s = None

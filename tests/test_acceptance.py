@@ -315,10 +315,10 @@ def test_09_digit_spreading_map_loses_bi_lipschitz():
 
 def test_10_non_covering_inverses_forfeit_shadowing():
     """Transported even shift at chart depth 10: a delta = 3^-6
-    pseudo-orbit that no residue shadows within 3^-2, while the full
-    shift under the identical pipeline is shadowed; the right inverses
-    individually invert the map yet jointly miss a fixed fraction of
-    the space."""
+    pseudo-orbit that no residue shadows within 3^-2, while the same
+    demonstration over the full shift's closed-form chart is shadowed;
+    the right inverses individually invert the map yet jointly miss a
+    fixed fraction of the space."""
     start = time.monotonic()
     p, depth = 3, 10
     delta, eps = NormValue(p, 6), NormValue(p, 2)

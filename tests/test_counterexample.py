@@ -2,13 +2,19 @@
 piecewise map and its non-covering right inverses, and the pseudo-orbit
 that no true orbit shadows."""
 
+import gc
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from padic_dynamics import counterexample
 from padic_dynamics.counterexample import (
+    CantorChart,
+    ChartNode,
+    _NeedMore,
+    _split_aligned,
     build_cantor_chart,
     build_thm2_map,
     covered_residue_count,
@@ -16,7 +22,12 @@ from padic_dynamics.counterexample import (
     thm2_right_inverses,
     transported_shift_table,
 )
-from padic_dynamics.errors import BadParams, NoWitnessFound
+from padic_dynamics.errors import (
+    BadParams,
+    ChartExhausted,
+    IsolatedPoint,
+    NoWitnessFound,
+)
 from padic_dynamics.padic import NormValue, PrecisionContext
 from padic_dynamics.shadowing import verify_pseudo_orbit, PseudoOrbit
 
@@ -200,6 +211,149 @@ def test_transported_shift_table_is_pinned(key):
     assert digest == SHIFT_TABLE_DIGESTS[key]
 
 
+# Reference: the recursive split builder that built every chart before the
+# full shift got its closed form, run here over full-shift extensions.
+
+def _reference_split_chart(p, depth):
+    letters = list(range(p))
+    leaves = [None] * p ** depth
+    index = {}
+
+    def extend(words):
+        return sorted(w + (a,) for w in words for a in letters)
+
+    def build(words, level, residue):
+        if level == depth:
+            node = ChartNode(tuple(words), None, len(words[0]))
+            leaves[residue] = node
+            for w in words:
+                index[w] = residue
+            return node
+        work = words
+        for _round in range(4 * p + 8):
+            if len(work) >= p:
+                try:
+                    blocks = _split_aligned(work, 0, p)
+                    break
+                except _NeedMore:
+                    pass
+            work = extend(work)
+        else:
+            raise ChartExhausted("reference split exhausted")
+        children = tuple(build(b, level + 1, residue + i * p ** level)
+                         for i, b in enumerate(blocks))
+        return ChartNode(tuple(work), children, len(work[0]))
+
+    root = build(extend([()]), 0, 0)
+    counts = Counter(len(leaf.words[0]) for leaf in leaves)
+    lengths = tuple(L for L, _ in counts.most_common())
+    return CantorChart(p, depth, "full", root, leaves, index, lengths)
+
+
+def _walk(node):
+    """Preorder (words, child_len, child count) of every node."""
+    out, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        out.append((n.words, n.child_len,
+                    None if n.children is None else len(n.children)))
+        if n.children is not None:
+            stack.extend(reversed(n.children))
+    return out
+
+
+@pytest.mark.parametrize("p,depth", [(2, d) for d in range(1, 11)]
+                         + [(3, d) for d in range(1, 9)]
+                         + [(5, d) for d in range(1, 6)])
+def test_full_chart_matches_split_builder(p, depth):
+    """The closed-form full-shift chart is the one the split search
+    finds: the same tree, leaves, index, lengths, decode, encode and
+    transported shift, which drops the lowest digit."""
+    chart = build_cantor_chart("full", p, depth)
+    ref = _reference_split_chart(p, depth)
+    M = p ** depth
+    assert _walk(chart.root) == _walk(ref.root)
+    assert chart.leaves == ref.leaves
+    assert chart.index == ref.index and chart.lengths == ref.lengths
+    for z in range(-2, M + 2):
+        assert chart.decode(z) == ref.decode(z)
+    table = transported_shift_table(chart)
+    assert table == transported_shift_table(ref) == [z // p for z in range(M)]
+
+    rng = random.Random(100 * p + depth)
+    words = [ref.decode(z) for z in range(M)]
+    words += [w[:rng.randrange(len(w) + 1)] for w in words[:200]]
+    words += [tuple(rng.randrange(p + 1) for _ in range(rng.randrange(15)))
+              for _ in range(300)]
+    for w in words:
+        assert _outcome(chart.encode, w) == _outcome(ref.encode, w)
+
+
+# SHA-256 of repr(_walk(chart.root)), pinned before the full-shift chart got
+# its closed form and the even-shift builder became level-order: the
+# trees must not move.
+TREE_DIGESTS = {
+    ("full", 3, 6):
+        "fdf71f0a6c8e54fc4ce41f46f41fc4df4d9ff62c8bac74bbb206447b2875f192",
+    ("full", 5, 4):
+        "e2ee775eb04c3bfa68a80f3a06e671df0aa6c5802e53b980fa422090ebabc232",
+    ("even", 3, 8):
+        "b3ea215561c598f159f2c2e0ec6f42a0c3948c0e274cb5c85d8950e5a1b7a6af",
+}
+
+
+@pytest.mark.parametrize("key", sorted(TREE_DIGESTS))
+def test_chart_tree_is_pinned(key):
+    tree = _walk(build_cantor_chart(*key).root)
+    digest = hashlib.sha256(repr(tree).encode()).hexdigest()
+    assert digest == TREE_DIGESTS[key]
+
+
+@pytest.mark.parametrize("subshift", ["even", "full"])
+def test_dropped_chart_leaves_no_cyclic_garbage(subshift):
+    """A chart is acyclic: with the collector paused, dropping it frees
+    everything, so a later collection finds nothing."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        chart = build_cantor_chart(subshift, 3, 6)
+        del chart
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_builder_leaves_collector_state_as_found(monkeypatch):
+    enabled = gc.isenabled()
+    try:
+        for state in (True, False):
+            (gc.enable if state else gc.disable)()
+            for subshift in ("even", "full"):
+                build_cantor_chart(subshift, 3, 3)
+                assert gc.isenabled() is state
+            with pytest.raises(BadParams):
+                build_cantor_chart("even", 3, 0)
+            assert gc.isenabled() is state
+            with monkeypatch.context() as m:
+                m.setattr(counterexample, "_even_extensions", lambda w: [])
+                with pytest.raises(IsolatedPoint):
+                    build_cantor_chart("even", 3, 3)
+            assert gc.isenabled() is state
+
+            def never(words, pos, k):
+                raise _NeedMore
+
+            with monkeypatch.context() as m:
+                m.setattr(counterexample, "_split_aligned", never)
+                with pytest.raises(ChartExhausted):
+                    build_cantor_chart("even", 3, 3)
+            assert gc.isenabled() is state
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
 def test_transported_shift_conjugates_word_shift():
     chart = build_cantor_chart("even", 3, 6)
     s = transported_shift_table(chart)
@@ -341,6 +495,19 @@ def test_tighter_delta_still_yields_witness():
     res = demonstrate_non_shadowing(3, 8, NormValue(3, 5), NormValue(3, 1),
                                     "even")
     assert not res.shadowed
+
+
+def test_demo_rejects_a_mismatched_chart():
+    """A prebuilt chart of another subshift, prime or depth is refused,
+    not run under the caller's label."""
+    delta, eps = NormValue(3, 4), NormValue(3, 1)
+    for subshift, depth, chart in (
+            ("even", 8, build_cantor_chart("full", 3, 8)),
+            ("even", 8, build_cantor_chart("even", 3, 9)),
+            ("full", 4, build_cantor_chart("full", 5, 4))):
+        with pytest.raises(BadParams, match="chart is"):
+            demonstrate_non_shadowing(3, depth, delta, eps, subshift,
+                                      require_witness=False, chart=chart)
 
 
 def test_run_length_budget_enforced():
