@@ -5,10 +5,14 @@ The chart identifies cylinder classes of the subshift with digit balls:
 each tree level splits a class of admissible words into p nonempty groups
 aligned to word subtrees, so two chart images are close exactly when the
 underlying words share a long prefix.  The even-shift chart is built
-level by level by a split search; the full-shift chart is the base-p
-digit chart, which that search would find, written down directly.  Each
-leaf is recorded under its residue and every leaf word under that
-residue, so encoding and decoding are lookups, not tree walks.
+level by level by a split search.  Every class is a cylinder, and how it
+splits depends only on the follower-set state of its prefix (no 1 yet,
+or an even or odd zero-run after a 1) and its word length past that
+prefix, so the search runs once per such shape, not once per class.  The
+full-shift chart is the base-p digit chart, which that search would
+find, written down directly.  Each leaf is recorded under its residue
+and every leaf word under that residue, so encoding and decoding are
+lookups, not tree walks.
 
 The transported shift s acts on the top digit block of x = a + b*p +
 z*p**2; the full map fixes a = 0, projects b = 0 down to z, and otherwise
@@ -48,20 +52,27 @@ from .shadowing import PseudoOrbit, brute_force_shadow, verify_pseudo_orbit
 # subshift rules
 # ---------------------------------------------------------------------------
 
+# Follower-set states of the even shift: the start state and the two
+# states of its presentation.  The letters that may follow a word depend
+# only on its state, so the admissible words of a given length extending
+# a word do too.
+_NO_ONE, _EVEN_RUN, _ODD_RUN = range(3)
+
+
+def _follower_state(word: Tuple[int, ...]) -> int:
+    """No 1 yet, or an even or an odd zero-run after the word's last 1."""
+    r = 0
+    for sym in reversed(word):
+        if sym:
+            return _ODD_RUN if r % 2 else _EVEN_RUN
+        r += 1
+    return _NO_ONE
+
+
 def _even_extensions(word: Tuple[int, ...]) -> List[int]:
     """Letters extending an admissible even-shift word (binary alphabet;
     maximal zero-runs flanked by ones must have even length)."""
-    out = [0]
-    r = 0
-    for sym in reversed(word):
-        if sym == 0:
-            r += 1
-        else:
-            break
-    flanked = r < len(word)
-    if not (flanked and r % 2 == 1):
-        out.append(1)
-    return out
+    return [0] if _follower_state(word) == _ODD_RUN else [0, 1]
 
 
 class _NeedMore(Exception):
@@ -134,6 +145,42 @@ def _extend_words(words: list) -> list:
     return grown
 
 
+def _split_shape(words: tuple, n: int, p: int) -> tuple:
+    """Split one class into p aligned blocks, growing its words as needed.
+
+    The class is every admissible word of length L extending a prefix u,
+    with n = L - |u|.  Returns the suffixes after u of the grown words (None
+    when the class splits at length L), each block's index range in them,
+    and each block's class key: the follower state of the block's common
+    prefix and the letters left after it.
+    """
+    work = words
+    for _round in range(4 * p + 8):
+        if len(work) >= p:
+            try:
+                blocks = _split_aligned(work, 0, p)
+                break
+            except _NeedMore:
+                pass
+        work = _extend_words(work)
+    else:
+        raise ChartExhausted(
+            f"cannot split class {words[:2]}... into {p} groups")
+    cut = len(words[0]) - n
+    length = len(work[0])
+    ranges, keys, start = [], [], 0
+    for block in blocks:
+        first, last = block[0], block[-1]
+        m = cut
+        while m < length and first[m] == last[m]:
+            m += 1
+        ranges.append((start, start + len(block)))
+        keys.append((_follower_state(first[:m]), length - m))
+        start += len(block)
+    suffixes = None if work is words else tuple([w[cut:] for w in work])
+    return suffixes, ranges, keys
+
+
 def _split_levels(p: int, depth: int) -> tuple:
     """Even-shift classes split level by level into p aligned blocks.
 
@@ -141,29 +188,38 @@ def _split_levels(p: int, depth: int) -> tuple:
     r + i*p**level of the next, so the children of node r sit at stride
     p**level.  Returns the words of every internal node, one list per
     level, and the leaves.
+
+    Each block of a split is a cylinder, every admissible word of one
+    length extending a common prefix (the alphabet is binary, so
+    `_split_aligned` only returns whole letter classes).  How a cylinder
+    splits depends only on its shape: the follower state of its prefix
+    and the number of letters after it.  Each shape is split once, on the
+    first class of that shape.  A later class of the shape slices its
+    blocks out of its words; when the split needed longer words, it first
+    regrows them as its prefix followed by each of the shape's suffixes.
     """
-    level = [_extend_words([()])]
+    shapes = {}
+    level, keys = [tuple(_extend_words([()]))], [(_NO_ONE, 1)]
     internal = []
     for _ in range(depth):
         n = len(level)
-        works, nxt = [], [None] * (n * p)
+        works, nxt, nxt_keys = [], [None] * (n * p), [None] * (n * p)
         for r, words in enumerate(level):
-            work = words
-            for _round in range(4 * p + 8):
-                if len(work) >= p:
-                    try:
-                        blocks = _split_aligned(work, 0, p)
-                        break
-                    except _NeedMore:
-                        pass
-                work = _extend_words(work)
+            key = keys[r]
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = _split_shape(words, key[1], p)
+            suffixes, ranges, child_keys = shape
+            if suffixes is None:
+                work = words
             else:
-                raise ChartExhausted(
-                    f"cannot split class {words[:2]}... into {p} groups")
-            works.append(tuple(work))
-            nxt[r::n] = [tuple(b) for b in blocks]
+                u = words[0][:len(words[0]) - key[1]]
+                work = tuple([u + x for x in suffixes])
+            works.append(work)
+            nxt[r::n] = [work[a:b] for a, b in ranges]
+            nxt_keys[r::n] = child_keys
         internal.append(works)
-        level = nxt
+        level, keys = nxt, nxt_keys
     return internal, [ChartNode(ws, None, len(ws[0])) for ws in level]
 
 
@@ -228,11 +284,15 @@ class CantorChart:
 
         Leaves are disjoint cylinder sets and each leaf's words extend its
         ancestors' blocks, so the word cut or zero-padded to a leaf word
-        length names at most one residue: the first hit is the image.
+        length names at most one residue: the word itself is tried first,
+        then every other length, and the first hit is the image.
         """
         w = tuple(word)
-        n = len(w)
         get = self.index.get
+        z = get(w)
+        if z is not None:
+            return z
+        n = len(w)
         for L in self.lengths:
             z = get(w[:L] if n >= L else w + (0,) * (L - n))
             if z is not None:
@@ -269,7 +329,14 @@ def build_cantor_chart(subshift: str, p: int, depth: int) -> CantorChart:
 
 
 def transported_shift_table(chart: CantorChart) -> list:
-    """s = chart o shift o chart^-1 as a table on depth-digit residues."""
+    """s = chart o shift o chart^-1 as a table on depth-digit residues.
+    On the full-shift chart leaf z is z's base-p digits, least significant
+    first, so s drops the lowest digit: s(z) = z // p."""
+    if chart.subshift == "full":
+        # the entries are the index's residue objects, as encode would
+        # return them, so the table holds no int of its own
+        p, index, leaves = chart.p, chart.index, chart.leaves
+        return [index[leaves[z // p].words[0]] for z in range(len(leaves))]
     encode = chart.encode
     return [encode(leaf.words[0][1:]) for leaf in chart.leaves]
 

@@ -201,6 +201,9 @@ SHIFT_TABLE_DIGESTS = {
         "eed3b3fc7d2f27e46e59f2cd7404b2d1381e9f010c3e3d6a7c167dd234c952ae",
     ("even", 5, 4):
         "65dfa98006529f9d5bf922fd2ecd2bc8946e42656097dbad329afddca06446d5",
+    # pinned before the even-shift builder split each class shape once
+    ("even", 3, 10):
+        "3698f3a19062cb12619b46ebd871ccfb80c81c9daeece318b4cfbc9ddb5a5bc3",
 }
 
 
@@ -299,6 +302,9 @@ TREE_DIGESTS = {
         "e2ee775eb04c3bfa68a80f3a06e671df0aa6c5802e53b980fa422090ebabc232",
     ("even", 3, 8):
         "b3ea215561c598f159f2c2e0ec6f42a0c3948c0e274cb5c85d8950e5a1b7a6af",
+    # pinned before the even-shift builder split each class shape once
+    ("even", 3, 10):
+        "359ec6772f11f5333d23488e53d1e613e5059a383c5ba43ee7671d67a1370797",
 }
 
 
@@ -307,6 +313,96 @@ def test_chart_tree_is_pinned(key):
     tree = _walk(build_cantor_chart(*key).root)
     digest = hashlib.sha256(repr(tree).encode()).hexdigest()
     assert digest == TREE_DIGESTS[key]
+
+
+# Reference: the even-shift builder before it split each class shape
+# once; it runs the split search on every class.
+
+def _reference_even_levels(p, depth):
+    level = [counterexample._extend_words([()])]
+    internal = []
+    for _ in range(depth):
+        n = len(level)
+        works, nxt = [], [None] * (n * p)
+        for r, words in enumerate(level):
+            work = words
+            for _round in range(4 * p + 8):
+                if len(work) >= p:
+                    try:
+                        blocks = _split_aligned(work, 0, p)
+                        break
+                    except _NeedMore:
+                        pass
+                work = counterexample._extend_words(work)
+            else:
+                raise ChartExhausted("reference split exhausted")
+            works.append(tuple(work))
+            nxt[r::n] = [tuple(b) for b in blocks]
+        internal.append(works)
+        level = nxt
+    return internal, [ChartNode(ws, None, len(ws[0])) for ws in level]
+
+
+@pytest.mark.parametrize("p,depth", [(2, d) for d in range(1, 13)]
+                         + [(3, d) for d in range(1, 11)]
+                         + [(5, d) for d in range(1, 7)]
+                         + [(7, d) for d in range(1, 5)])
+def test_even_levels_match_reference(p, depth):
+    """Splitting each class shape once gives every internal node's words
+    and every leaf of the split search run on each class."""
+    assert counterexample._split_levels(p, depth) == \
+        _reference_even_levels(p, depth)
+
+
+def test_even_chart_splits_each_shape_once(monkeypatch):
+    """A depth-10 even chart runs the split search on a few class shapes,
+    not on its 29,524 internal classes."""
+    calls = []
+
+    def counted(words, pos, k, split=_split_aligned):
+        calls.append(k)
+        return split(words, pos, k)
+
+    monkeypatch.setattr(counterexample, "_split_aligned", counted)
+    chart = build_cantor_chart("even", 3, 10)
+    assert len(chart.leaves) == 3 ** 10
+    assert 0 < len(calls) <= 50
+
+
+# Reference: encode before it tried the word's own length first.
+
+def _reference_scan_encode(chart, word):
+    w = tuple(word)
+    n = len(w)
+    for L in chart.lengths:
+        z = chart.index.get(w[:L] if n >= L else w + (0,) * (L - n))
+        if z is not None:
+            return z
+    raise BadParams(f"word {word} is not admissible for this chart")
+
+
+@pytest.mark.parametrize("p,depth", [(3, 6), (3, 8), (5, 4)])
+def test_encode_tries_own_length_first(p, depth):
+    """At most one leaf word length hits, so trying the word's own length
+    first returns what scanning every length in order returns, errors
+    included."""
+    chart = build_cantor_chart("even", p, depth)
+    shifts = [w[1:] for leaf in chart.leaves for w in leaf.words]
+    words = shifts + [w[:i] for w in shifts for i in range(len(w))]
+    rng = random.Random(10 * p + depth)
+    words += [tuple(rng.randrange(2) for _ in range(rng.randrange(30)))
+              for _ in range(300)]
+    own, errors = 0, 0
+    for w in words:
+        hits = [L for L in chart.lengths
+                if (w[:L] if len(w) >= L else w + (0,) * (L - len(w)))
+                in chart.index]
+        assert len(hits) <= 1
+        got = _outcome(chart.encode, w)
+        assert got == _outcome(lambda u: _reference_scan_encode(chart, u), w)
+        own += w in chart.index
+        errors += isinstance(got, tuple)
+    assert 0 < own < len(words) and 0 < errors < len(words)
 
 
 @pytest.mark.parametrize("subshift", ["even", "full"])
