@@ -317,10 +317,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_counterexample(args) -> int:
     delta = parse_norm(args.delta, args.p)
     eps = parse_norm(args.eps, args.p)
-    chart = counterexample.build_cantor_chart("even", args.p, args.depth)
+    # each demo builds its own chart and drops it on return, so the two
+    # charts are never alive together
     res = counterexample.demonstrate_non_shadowing(
-        args.p, args.depth, delta, eps, "even", require_witness=False,
-        chart=chart)
+        args.p, args.depth, delta, eps, "even", require_witness=False)
     control = counterexample.demonstrate_non_shadowing(
         args.p, args.depth, delta, eps, "full", require_witness=False)
     ok = (not res.shadowed) and control.shadowed

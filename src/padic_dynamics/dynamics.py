@@ -424,18 +424,34 @@ def make_lipschitz_perturbation(ctx: PrecisionContext, kind: str,
 
 
 def perturb(f: DynamicMap, phi: LipschitzPerturbation) -> DynamicMap:
-    """The perturbed map f + phi (pointwise sum in the context ring)."""
+    """The perturbed map f + phi (pointwise sum in the context ring).
+
+    When the context is tabulable, g comes with its table, f's table plus
+    phi's values in one pass; phi's values are streamed from its own table
+    or its function, so no table is left on phi.  A partial f (one that
+    raises WindowViolation somewhere) leaves g pointwise, as above the
+    ball budget.
+    """
     if f.ctx != phi.map.ctx:
         raise BadParams("perturbation context mismatch")
     M = f.ctx.modulus
     lip = None
     if f.lip_upper is not None:
         lip = max(f.lip_upper, phi.delta.as_fraction())
-    return DynamicMap(
+    g = DynamicMap(
         f"{f.name}+{phi.map.name}", f.ctx,
         lambda m, f=f, g=phi.map, M=M: (f(m) + g(m)) % M,
         max(f.precision_loss, phi.map.precision_loss), lip, None,
         {"base": f, "phi": phi})
+    if M <= f.ctx.ball_budget:
+        phi_values = phi.map._table
+        if phi_values is None:
+            phi_values = map(phi.map.fn, range(M))
+        try:
+            g._table = [(a + b) % M for a, b in zip(f.tabulate(), phi_values)]
+        except WindowViolation:
+            pass
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 Values are digit vectors over {0, ..., p-1} attached to a base exponent u:
 the encoded number is sum(d[i] * p**(u + i)).  Every value is exact modulo
 p**(u + len(d)); nothing is ever rounded, precision is only ever truncated.
+A PAdic stores the digit vector as its scaled integer m = sum(d[i] * p**i)
+and its length n, so add, sub, mul, norm and the context's integer bridge
+(from_int, to_int) are integer operations on m; the digit tuple is derived
+the first time it is read (text and JSON forms, repr, hashing) and kept.
 A PrecisionContext fixes the prime, the per-value digit budget and (for the
 field mode) the admissible window of base exponents.  The integer-ring mode
 is exactly the residue ring Z/p^N.
@@ -182,28 +186,21 @@ class PrecisionContext:
         if x.base_exp < self.u_min:
             raise WindowViolation(
                 f"base exponent {x.base_exp} below window minimum {self.u_min}")
-        shift = x.base_exp - self.u_min
-        acc = 0
-        for i, d in enumerate(reversed(x.digits)):
-            acc = acc * self.prime + d
-        return (acc * self.prime ** shift) % self.modulus
+        return (x._m * self.prime ** (x._u - self.u_min)) % self.modulus
 
     def from_int(self, m: int, base_exp: Optional[int] = None) -> "PAdic":
         """PAdic carrying all total_digits digits of m (mod modulus)."""
         m %= self.modulus
         u = self.u_min if base_exp is None else base_exp
+        if u < self.u_min:
+            raise WindowViolation(
+                f"base exponent {u} below window minimum {self.u_min}")
         if u != self.u_min:
             q, r = divmod(m, self.prime ** (u - self.u_min))
             if r:
                 raise WindowViolation("integer not representable at this base exponent")
             m = q
-        digits = []
-        while m:
-            m, d = divmod(m, self.prime)
-            digits.append(d)
-        length = self.total_digits - (u - self.u_min)
-        digits.extend([0] * (length - len(digits)))
-        return PAdic(self.prime, u, tuple(digits))
+        return _raw(self.prime, u, m, max(self.total_digits - (u - self.u_min), 0))
 
     def norm_of_int(self, m: int) -> NormValue:
         """Norm of the value p**u_min * m, as certified by this context."""
@@ -223,59 +220,110 @@ class PrecisionContext:
         return self.norm_of_int(math.gcd(self.modulus, *values))
 
 
-@dataclass(frozen=True)
+# The dataclass decorator (its init, eq and repr switched off) records the
+# three public fields, so that dataclasses.replace(x, digits=...) rebuilds
+# through the validating constructor.  The fields are read-only properties
+# over private slots, so instances stay immutable.
+@dataclass(init=False, eq=False, repr=False)
 class PAdic:
     """Immutable truncated p-adic value: sum(digits[i] * p**(base_exp+i)).
 
-    The value is exact modulo p**(base_exp + len(digits)); known_radius
-    reports that bound.  Instances are plain data — all arithmetic lives
-    in module-level functions.
+    Stored as the scaled integer m = sum(digits[i] * p**i), 0 <= m < p**n,
+    and the digit count n: the value is p**base_exp * m, exact modulo
+    p**(base_exp + n); known_radius reports that bound.  The digit tuple
+    is derived from m the first time `digits` is read and then kept.
+    Instances are plain data -- all arithmetic lives in module-level
+    functions, which build their results with `_raw` and skip the digit
+    validation that the public constructor does.
     """
 
+    __slots__ = ("_p", "_u", "_m", "_n", "_digits")
     prime: int
     base_exp: int
     digits: tuple
 
-    def __post_init__(self):
-        for i, d in enumerate(self.digits):
-            if not isinstance(d, int) or not 0 <= d < self.prime:
+    def __init__(self, prime: int, base_exp: int, digits: tuple):
+        digits = tuple(digits)
+        m, pw = 0, 1
+        for i, d in enumerate(digits):
+            if not isinstance(d, int) or not 0 <= d < prime:
                 raise AlphabetViolation(
-                    f"digit {d!r} at position {i} outside 0..{self.prime - 1}")
+                    f"digit {d!r} at position {i} outside 0..{prime - 1}")
+            m += d * pw
+            pw *= prime
+        self._p, self._u, self._m, self._n = prime, base_exp, m, len(digits)
+        self._digits = digits
+
+    @property
+    def prime(self) -> int:
+        return self._p
+
+    @property
+    def base_exp(self) -> int:
+        return self._u
+
+    @property
+    def digits(self) -> tuple:
+        try:
+            return self._digits
+        except AttributeError:
+            m, p, digits = self._m, self._p, []
+            for _ in range(self._n):
+                m, d = divmod(m, p)
+                digits.append(d)
+            self._digits = tuple(digits)
+            return self._digits
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._m == other._m and self._n == other._n
+                and self._u == other._u and self._p == other._p)
+
+    def __hash__(self):
+        return hash((self._p, self._u, self.digits))
+
+    def __repr__(self):
+        return (f"PAdic(prime={self._p!r}, base_exp={self._u!r}, "
+                f"digits={self.digits!r})")
 
     @property
     def known_exp(self) -> int:
         """Value is exact modulo p**known_exp."""
-        return self.base_exp + len(self.digits)
+        return self._u + self._n
 
     @property
     def known_radius(self) -> NormValue:
-        return NormValue(self.prime, self.known_exp)
+        return NormValue(self._p, self.known_exp)
 
     def digit_at(self, position: int) -> int:
         """Digit at absolute position (exponent) `position`, 0 if below range."""
-        i = position - self.base_exp
+        i = position - self._u
         if i < 0:
             return 0
-        if i >= len(self.digits):
+        if i >= self._n:
             raise WindowViolation(f"position {position} beyond known precision")
         return self.digits[i]
 
     def normalized(self) -> "PAdic":
         """Strip leading zero digits into the base exponent (display form)."""
-        i = 0
-        while i < len(self.digits) and self.digits[i] == 0:
-            i += 1
+        i = valuation(self._m, self._p, self._n)
         if i == 0:
             return self
-        return PAdic(self.prime, self.base_exp + i, self.digits[i:])
+        return _raw(self._p, self._u + i, self._m // self._p ** i, self._n - i)
 
     def as_fraction(self) -> Fraction:
-        acc = Fraction(0)
-        for i, d in enumerate(self.digits):
-            if d:
-                e = self.base_exp + i
-                acc += d * (Fraction(self.prime) ** e)
-        return acc
+        return self._m * Fraction(self._p) ** self._u
+
+
+_new = object.__new__
+
+
+def _raw(prime: int, u: int, m: int, n: int) -> PAdic:
+    """The value p**u * m with n digits, for 0 <= m < p**n (unchecked)."""
+    x = _new(PAdic)
+    x._p, x._u, x._m, x._n = prime, u, m, n
+    return x
 
 
 def make_padic(ctx: PrecisionContext, base_exp: int, digits: Iterable[int]) -> PAdic:
@@ -298,50 +346,37 @@ def make_padic(ctx: PrecisionContext, base_exp: int, digits: Iterable[int]) -> P
 
 def norm(x: PAdic) -> NormValue:
     """p-adic absolute value; zero-to-precision carries its certified bound."""
-    for i, d in enumerate(x.digits):
-        if d:
-            return NormValue(x.prime, x.base_exp + i)
-    return norm_zero(x.prime, x.known_exp)
+    if x._m == 0:
+        return norm_zero(x._p, x._u + x._n)
+    return NormValue(x._p, x._u + valuation(x._m, x._p, x._n))
 
 
 def _require_same_prime(x: PAdic, y: PAdic) -> None:
-    if x.prime != y.prime:
-        raise AlphabetViolation(f"prime mismatch: {x.prime} != {y.prime}")
+    if x._p != y._p:
+        raise AlphabetViolation(f"prime mismatch: {x._p} != {y._p}")
 
 
-def _to_scaled(x: PAdic, u: int) -> int:
-    """Integer m with x = p**u * m exactly (mod the joint precision)."""
-    acc = 0
-    for d in reversed(x.digits):
-        acc = acc * x.prime + d
-    return acc * x.prime ** (x.base_exp - u)
-
-
-def _build(prime: int, u: int, m: int, length: int) -> PAdic:
-    if length <= 0:
-        return PAdic(prime, u, ())
-    m %= prime ** length
-    digits = []
-    for _ in range(length):
-        m, d = divmod(m, prime)
-        digits.append(d)
-    return PAdic(prime, u, tuple(digits))
+def _signed_sum(x: PAdic, y: PAdic, sign: int) -> PAdic:
+    """x + sign * y, truncated to the shared certified precision."""
+    _require_same_prime(x, y)
+    p, ux, uy = x._p, x._u, y._u
+    mx, my = x._m, y._m
+    if ux < uy:
+        u, my = ux, my * p ** (uy - ux)
+    else:
+        u, mx = uy, mx * p ** (ux - uy)
+    n = min(ux + x._n, uy + y._n) - u
+    return _raw(p, u, (mx + sign * my) % p ** n, n)
 
 
 def add(x: PAdic, y: PAdic) -> PAdic:
     """Exact sum, truncated to the shared certified precision."""
-    _require_same_prime(x, y)
-    u = min(x.base_exp, y.base_exp)
-    m_exp = min(x.known_exp, y.known_exp)
-    return _build(x.prime, u, _to_scaled(x, u) + _to_scaled(y, u), m_exp - u)
+    return _signed_sum(x, y, 1)
 
 
 def sub(x: PAdic, y: PAdic) -> PAdic:
     """Exact difference, truncated to the shared certified precision."""
-    _require_same_prime(x, y)
-    u = min(x.base_exp, y.base_exp)
-    m_exp = min(x.known_exp, y.known_exp)
-    return _build(x.prime, u, _to_scaled(x, u) - _to_scaled(y, u), m_exp - u)
+    return _signed_sum(x, y, -1)
 
 
 def mul(x: PAdic, y: PAdic) -> PAdic:
@@ -351,22 +386,22 @@ def mul(x: PAdic, y: PAdic) -> PAdic:
     the leading digits), the product is exact mod p**min(mx+vy, my+vx).
     """
     _require_same_prime(x, y)
-    nx, ny = norm(x), norm(y)
-    vx = nx.bound_exp if nx.is_zero else nx.exponent
-    vy = ny.bound_exp if ny.is_zero else ny.exponent
-    m_exp = min(x.known_exp + vy, y.known_exp + vx)
-    u = x.base_exp + y.base_exp
-    return _build(x.prime, u, _to_scaled(x, x.base_exp) * _to_scaled(y, y.base_exp),
-                  m_exp - u)
+    p, ux, uy = x._p, x._u, y._u
+    vx = ux + valuation(x._m, p, x._n)
+    vy = uy + valuation(y._m, p, y._n)
+    u = ux + uy
+    n = min(ux + x._n + vy, uy + y._n + vx) - u
+    return _raw(p, u, (x._m * y._m) % p ** n, n)
 
 
 def int_frac_split(x: PAdic) -> tuple:
     """Split into (floor_part, frac_part): digits at exponents >=0 and <0."""
-    if x.base_exp >= 0:
-        return x, PAdic(x.prime, min(x.base_exp, 0), ())
-    cut = -x.base_exp
-    frac = PAdic(x.prime, x.base_exp, x.digits[:cut])
-    floor = PAdic(x.prime, 0, x.digits[cut:])
+    if x._u >= 0:
+        return x, _raw(x._p, 0, 0, 0)
+    cut = -x._u
+    low = x._p ** cut
+    frac = _raw(x._p, x._u, x._m % low, min(cut, x._n))
+    floor = _raw(x._p, 0, x._m // low, max(x._n - cut, 0))
     return floor, frac
 
 

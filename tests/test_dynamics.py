@@ -523,3 +523,67 @@ def test_check_isometry_matches_dict_pass_on_mutated_tables():
     assert None in outcomes
     assert {o[0] for o in outcomes if o} == {NotBijective, NotIsometry}
     assert len({o[1] for o in outcomes if o and o[0] is NotIsometry}) >= 3
+
+
+# ---------------------------------------------------------------------------
+# perturb: the table pass against the pointwise sum
+# ---------------------------------------------------------------------------
+
+def _catalog_perturbations(ctx):
+    p = ctx.prime
+    delta = NormValue(p, 2)
+    return [
+        make_lipschitz_perturbation(ctx, "constant", delta, c=(p - 1) * p ** 2),
+        make_lipschitz_perturbation(ctx, "digit_local", delta, 7),
+        make_lipschitz_perturbation(ctx, "example2_phi_n", delta, n=1),
+    ]
+
+
+def _catalog_bases(ctx):
+    p = ctx.prime
+    return [builtin_map("shift_zp", ctx),
+            builtin_map("affine", ctx, v=p, w=1),
+            builtin_map("scaled_isometry", ctx, m=2, iso="triangular", seed=4)]
+
+
+@pytest.mark.parametrize("ctx", [PrecisionContext(2, 8), PrecisionContext(3, 6)],
+                         ids=["2^8", "3^6"])
+def test_perturb_table_matches_pointwise_sum(ctx):
+    M = ctx.modulus
+    for phi in _catalog_perturbations(ctx):
+        for tabulate_phi in (False, True):
+            if tabulate_phi:
+                phi.map.tabulate()
+            before = phi.map._table
+            for f in _catalog_bases(ctx):
+                want = [(f.fn(m) + phi.map.fn(m)) % M for m in range(M)]
+                g = perturb(f, phi)
+                assert g._table is not None and g.tabulate() == want
+                assert [g.fn(m) for m in range(M)] == want
+                assert phi.map._table is before     # no table left on phi
+
+
+def test_perturb_above_ball_budget_stays_pointwise():
+    ctx = PrecisionContext(3, 6, ball_budget=100)
+    M = ctx.modulus
+    rng = random.Random(8)
+    sample = rng.sample(range(M), 60)
+    for phi in _catalog_perturbations(ctx):
+        for f in _catalog_bases(ctx):
+            g = perturb(f, phi)
+            assert g._table is None and f._table is None
+            assert phi.map._table is None
+            for m in sample:
+                assert g(m) == (f(m) + phi(m)) % M
+
+
+def test_perturb_of_partial_map_stays_pointwise():
+    # shift_qp is undefined where the lowest window digit is nonzero
+    ctx = PrecisionContext(3, 3, -1, 0, "Qp")
+    f = builtin_map("shift_qp", ctx)
+    phi = make_lipschitz_perturbation(ctx, "constant", NormValue(3, 1), c=9)
+    g = perturb(f, phi)
+    assert g._table is None
+    assert g(3) == (1 + 9) % ctx.modulus
+    with pytest.raises(WindowViolation):
+        g(1)

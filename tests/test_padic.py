@@ -377,3 +377,213 @@ def test_norm_string_forms():
     assert format_norm(norm_zero(3)) == "0"
     with pytest.raises(ParseError):
         parse_norm("0.5", 3)
+
+
+# ---------------------------------------------------------------------------
+# the integer representation against the digit-loop references
+# ---------------------------------------------------------------------------
+# Values are stored as a scaled integer and a digit count, with digits
+# derived on demand.  The references below are the digit-vector
+# implementations that the integer arithmetic replaced: every value goes
+# through its digits, and results are built through the validating
+# constructor.
+
+def _ref_to_scaled(x, u):
+    """Integer m with x = p**u * m exactly (mod the joint precision)."""
+    acc = 0
+    for d in reversed(x.digits):
+        acc = acc * x.prime + d
+    return acc * x.prime ** (x.base_exp - u)
+
+
+def _ref_build(prime, u, m, length):
+    if length <= 0:
+        return PAdic(prime, u, ())
+    m %= prime ** length
+    digits = []
+    for _ in range(length):
+        m, d = divmod(m, prime)
+        digits.append(d)
+    return PAdic(prime, u, tuple(digits))
+
+
+def _ref_norm(x):
+    for i, d in enumerate(x.digits):
+        if d:
+            return NormValue(x.prime, x.base_exp + i)
+    return norm_zero(x.prime, x.base_exp + len(x.digits))
+
+
+def _ref_add(x, y, sign=1):
+    u = min(x.base_exp, y.base_exp)
+    m_exp = min(x.known_exp, y.known_exp)
+    return _ref_build(x.prime, u,
+                      _ref_to_scaled(x, u) + sign * _ref_to_scaled(y, u),
+                      m_exp - u)
+
+
+def _ref_mul(x, y):
+    nx, ny = _ref_norm(x), _ref_norm(y)
+    vx = nx.bound_exp if nx.is_zero else nx.exponent
+    vy = ny.bound_exp if ny.is_zero else ny.exponent
+    m_exp = min(x.known_exp + vy, y.known_exp + vx)
+    u = x.base_exp + y.base_exp
+    return _ref_build(x.prime, u, _ref_to_scaled(x, x.base_exp)
+                      * _ref_to_scaled(y, y.base_exp), m_exp - u)
+
+
+def _ref_from_int(ctx, m, base_exp=None):
+    m %= ctx.modulus
+    u = ctx.u_min if base_exp is None else base_exp
+    if u != ctx.u_min:
+        q, r = divmod(m, ctx.prime ** (u - ctx.u_min))
+        assert r == 0
+        m = q
+    digits = []
+    while m:
+        m, d = divmod(m, ctx.prime)
+        digits.append(d)
+    length = ctx.total_digits - (u - ctx.u_min)
+    digits.extend([0] * (length - len(digits)))
+    return PAdic(ctx.prime, u, tuple(digits))
+
+
+def _ref_to_int(ctx, x):
+    acc = 0
+    for d in reversed(x.digits):
+        acc = acc * ctx.prime + d
+    return (acc * ctx.prime ** (x.base_exp - ctx.u_min)) % ctx.modulus
+
+
+def _same(got, want):
+    """Equal values, hashes and text, JSON and repr forms; the expected
+    hash, text and JSON forms are spelled out from want's digit tuple."""
+    assert got == want
+    assert hash(got) == hash(want) == \
+        hash((want.prime, want.base_exp, want.digits))
+    assert repr(got) == repr(want)
+    assert format_padic(got) == \
+        f"p:{want.prime};u:{want.base_exp};d:{','.join(map(str, want.digits))}"
+    assert padic_to_json(got) == \
+        {"p": want.prime, "u": want.base_exp, "digits": list(want.digits)}
+    assert got.known_exp == want.known_exp
+
+
+def _random_value(rng, p, max_len=8):
+    """A value of any length 0..max_len at base exponent -3..3."""
+    digits = tuple(rng.randrange(p) for _ in range(rng.randrange(max_len + 1)))
+    if digits and rng.random() < 0.3:       # leading zeros: valuation > 0
+        k = rng.randrange(len(digits) + 1)
+        digits = (0,) * k + digits[k:]
+    return PAdic(p, rng.randrange(-3, 4), digits)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_arithmetic_matches_digit_references_mixed_operands(p):
+    rng = random.Random(1300 + p)
+    for _ in range(400):
+        x, y = _random_value(rng, p), _random_value(rng, p)
+        _same(add(x, y), _ref_add(x, y))
+        _same(sub(x, y), _ref_add(x, y, -1))
+        _same(mul(x, y), _ref_mul(x, y))
+        got, want = norm(x), _ref_norm(x)
+        assert (got.prime, got.exponent, got.bound_exp) == \
+            (want.prime, want.exponent, want.bound_exp)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_zp_context_matches_digit_references(p):
+    rng = random.Random(1400 + p)
+    N = 6 if p < 5 else 4
+    ctx = PrecisionContext(p, N)
+    values = [rng.randrange(ctx.modulus) for _ in range(200)] + [0, ctx.modulus - 1]
+    for m in values:
+        x = ctx.from_int(m)
+        _same(x, _ref_from_int(ctx, m))
+        _same(ctx.from_int(m - 5 * ctx.modulus), _ref_from_int(ctx, m))
+        assert ctx.to_int(x) == _ref_to_int(ctx, x) == m
+    for a, b in zip(values, values[1:]):
+        x, y = ctx.from_int(a), ctx.from_int(b)
+        _same(add(x, y), _ref_add(x, y))
+        _same(sub(x, y), _ref_add(x, y, -1))
+        _same(mul(x, y), _ref_mul(x, y))
+    for k in range(N + 1):
+        center = rng.randrange(ctx.modulus)
+        got = enumerate_ball(ctx, ctx.from_int(center), norm_from_exp(p, k))
+        step = p ** k
+        want = [_ref_from_int(ctx, center % step + t * step)
+                for t in range(ctx.modulus // step)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same(g, w)
+
+
+@pytest.mark.parametrize("p, N, lo, hi", [(2, 5, -3, 2), (3, 4, -2, 1),
+                                          (5, 3, -1, 1), (7, 2, -2, 0)])
+def test_qp_window_matches_digit_references(p, N, lo, hi):
+    ctx = PrecisionContext(p, N, lo, hi, "Qp")
+    rng = random.Random(1500 + p)
+    for _ in range(200):
+        m = rng.randrange(ctx.modulus)
+        _same(ctx.from_int(m), _ref_from_int(ctx, m))
+        u = rng.randrange(lo, hi + 1)
+        shift = p ** (u - lo)
+        q = rng.randrange(ctx.modulus // shift)
+        x = ctx.from_int(q * shift, base_exp=u)
+        _same(x, _ref_from_int(ctx, q * shift, base_exp=u))
+        assert ctx.to_int(x) == _ref_to_int(ctx, x) == q * shift
+        # values of any length at or above the window floor
+        y = _random_value(rng, p)
+        y = PAdic(p, max(y.base_exp, lo), y.digits)
+        assert ctx.to_int(y) == _ref_to_int(ctx, y)
+        z = ctx.from_int(rng.randrange(ctx.modulus))
+        _same(add(x, z), _ref_add(x, z))
+        _same(sub(z, x), _ref_add(z, x, -1))
+        _same(mul(x, z), _ref_mul(x, z))
+    with pytest.raises(WindowViolation):
+        ctx.from_int(1, base_exp=lo - 1)
+    with pytest.raises(WindowViolation):
+        ctx.from_int(1, base_exp=lo + 1)     # 1 is not divisible by p
+    center = ctx.from_int(rng.randrange(ctx.modulus))
+    for k in range(lo, lo + ctx.total_digits + 1):
+        got = enumerate_ball(ctx, center, norm_from_exp(p, k))
+        step = p ** (k - lo)
+        c = _ref_to_int(ctx, center) % step
+        want = [_ref_from_int(ctx, c + t * step)
+                for t in range(ctx.modulus // step)]
+        assert [repr(g) for g in got] == [repr(w) for w in want]
+
+
+def test_derived_digits_read_back_like_the_constructor():
+    rng = random.Random(16)
+    for p in (2, 3, 5, 7):
+        ctx = PrecisionContext(p, 5, -2, 2, "Qp")
+        for _ in range(50):
+            x = mul(ctx.from_int(rng.randrange(ctx.modulus)),
+                    ctx.from_int(rng.randrange(ctx.modulus)))
+            y = PAdic(p, x.base_exp, x.digits)
+            assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+            assert x.as_fraction() == y.as_fraction()
+            assert x.normalized() == y.normalized()
+            assert int_frac_split(x) == int_frac_split(y)
+            assert len({x, y}) == 1
+    x = PAdic(3, 0, (1, 2))
+    assert x != PAdic(3, 0, (1, 2, 0)) and x != PAdic(3, 1, (1, 2))
+    assert x != PAdic(5, 0, (1, 2)) and x != (3, 0, (1, 2))
+
+
+def test_values_stay_immutable_and_replace_validates():
+    import dataclasses
+    ctx = PrecisionContext(3, 4)
+    x = add(ctx.from_int(5), ctx.from_int(7))
+    for name in ("prime", "base_exp", "digits"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    bumped = dataclasses.replace(x, digits=((x.digits[0] + 1) % 3,) + x.digits[1:])
+    assert x.digits == (0, 1, 1, 0)
+    assert bumped == PAdic(3, 0, (1, 1, 1, 0)) and bumped != x
+    for bad in ((3, 0), (0, -1), (1, "2"), (1.0,)):
+        with pytest.raises(AlphabetViolation):
+            dataclasses.replace(x, digits=bad)
+    with pytest.raises(AlphabetViolation):
+        PAdic(2, 0, (1, 0, 2, 3))
