@@ -4,15 +4,19 @@ transporting a strictly sofic binary subshift onto the p-adic integers.
 The chart identifies cylinder classes of the subshift with digit balls:
 each tree level splits a class of admissible words into p nonempty groups
 aligned to word subtrees, so two chart images are close exactly when the
-underlying words share a long prefix.  The even-shift chart is built
-level by level by a split search.  Every class is a cylinder, and how it
-splits depends only on the follower-set state of its prefix (no 1 yet,
-or an even or odd zero-run after a 1) and its word length past that
-prefix, so the search runs once per such shape, not once per class.  The
-full-shift chart is the base-p digit chart, which that search would
-find, written down directly.  Each leaf is recorded under its residue
-and every leaf word under that residue, so encoding and decoding are
-lookups, not tree walks.
+underlying words share a long prefix.  A chart build makes only what
+`encode`, `decode` and the transported shift read.  Every even-shift class
+is a cylinder, a prefix u and a shape: the follower-set state of u (no 1
+yet, or an even or odd zero-run after a 1) and the word length past u.
+How a class splits depends only on its shape, so the split search runs
+once per shape, on a representative prefix, and a level pass carries each
+class as (prefix, shape) down to the leaves; only the leaves become words,
+each recorded under its residue with every leaf word in one index, so
+encoding and decoding are lookups, not tree walks.  The full-shift chart
+is the base-p digit chart, which that search would find: encoding and
+decoding are digit arithmetic and its tables are derived when read.  The
+node tree above the leaves (`CantorChart.root`) is derived from the same
+data when first read; nothing in the demonstration reads it.
 
 The transported shift s acts on the top digit block of x = a + b*p +
 z*p**2; the full map fixes a = 0, projects b = 0 down to z, and otherwise
@@ -32,9 +36,10 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .errors import (
     BadParams,
@@ -145,16 +150,32 @@ def _extend_words(words: list) -> list:
     return grown
 
 
-def _split_shape(words: tuple, n: int, p: int) -> tuple:
-    """Split one class into p aligned blocks, growing its words as needed.
+# A representative prefix of each follower state: the classes of one shape
+# split alike, so each shape is split on its representative's words.
+_REPRESENTATIVE = {_NO_ONE: (), _EVEN_RUN: (1,), _ODD_RUN: (1, 0)}
 
-    The class is every admissible word of length L extending a prefix u,
-    with n = L - |u|.  Returns the suffixes after u of the grown words (None
-    when the class splits at length L), each block's index range in them,
-    and each block's class key: the follower state of the block's common
-    prefix and the letters left after it.
+
+def _shape_words(key: tuple) -> tuple:
+    """The class of shape key = (state, n) under the state's representative
+    prefix: every admissible word extending it by n letters, sorted."""
+    state, n = key
+    words = [_REPRESENTATIVE[state]]
+    for _ in range(n):
+        words = _extend_words(words)
+    return tuple(words)
+
+
+def _split_shape(key: tuple, p: int) -> tuple:
+    """Split the classes of one shape into p aligned blocks, growing their
+    words as needed.
+
+    A class of shape (state, n) is every admissible word of length |u| + n
+    extending a prefix u in that follower state.  Each block is again a
+    cylinder.  Returns the suffixes after u of the words that were split,
+    and for each block a child (ext, key): the letters the block's common
+    prefix adds to u, and the block's own shape.
     """
-    work = words
+    words = work = _shape_words(key)
     for _round in range(4 * p + 8):
         if len(work) >= p:
             try:
@@ -166,74 +187,75 @@ def _split_shape(words: tuple, n: int, p: int) -> tuple:
     else:
         raise ChartExhausted(
             f"cannot split class {words[:2]}... into {p} groups")
-    cut = len(words[0]) - n
+    cut = len(_REPRESENTATIVE[key[0]])
     length = len(work[0])
-    ranges, keys, start = [], [], 0
+    children = []
     for block in blocks:
         first, last = block[0], block[-1]
         m = cut
         while m < length and first[m] == last[m]:
             m += 1
-        ranges.append((start, start + len(block)))
-        keys.append((_follower_state(first[:m]), length - m))
-        start += len(block)
-    suffixes = None if work is words else tuple([w[cut:] for w in work])
-    return suffixes, ranges, keys
+        key = (_follower_state(first[:m]), length - m)
+        children.append((first[cut:m], key))
+    return tuple([w[cut:] for w in work]), children
 
 
-def _split_levels(p: int, depth: int) -> tuple:
-    """Even-shift classes split level by level into p aligned blocks.
+def _class_levels(p: int, depth: int, shapes: dict):
+    """Yield the even-shift classes of levels 0 to `depth` as two lists,
+    each class's prefix and its shape.
 
-    Class r of a level has residue r, and block i of class r becomes class
-    r + i*p**level of the next, so the children of node r sit at stride
-    p**level.  Returns the words of every internal node, one list per
-    level, and the leaves.
-
-    Each block of a split is a cylinder, every admissible word of one
-    length extending a common prefix (the alphabet is binary, so
-    `_split_aligned` only returns whole letter classes).  How a cylinder
-    splits depends only on its shape: the follower state of its prefix
-    and the number of letters after it.  Each shape is split once, on the
-    first class of that shape.  A later class of the shape slices its
-    blocks out of its words; when the split needed longer words, it first
-    regrows them as its prefix followed by each of the shape's suffixes.
+    Class r of a level has residue r, and child i of class r is class
+    r + i*p**level of the next, so the children of class r sit at stride
+    p**level.  Child i of (u, k) is (u + ext, key) for the i-th child
+    (ext, key) of shape k, read from `shapes`, which maps each shape to
+    `_split_shape`'s result and gains every shape split on the way.
     """
-    shapes = {}
-    level, keys = [tuple(_extend_words([()]))], [(_NO_ONE, 1)]
-    internal = []
+    prefixes, keys = [()], [(_NO_ONE, 1)]
     for _ in range(depth):
-        n = len(level)
-        works, nxt, nxt_keys = [], [None] * (n * p), [None] * (n * p)
-        for r, words in enumerate(level):
-            key = keys[r]
-            shape = shapes.get(key)
-            if shape is None:
-                shape = shapes[key] = _split_shape(words, key[1], p)
-            suffixes, ranges, child_keys = shape
-            if suffixes is None:
-                work = words
-            else:
-                u = words[0][:len(words[0]) - key[1]]
-                work = tuple([u + x for x in suffixes])
-            works.append(work)
-            nxt[r::n] = [work[a:b] for a, b in ranges]
-            nxt_keys[r::n] = child_keys
-        internal.append(works)
-        level, keys = nxt, nxt_keys
-    return internal, [ChartNode(ws, None, len(ws[0])) for ws in level]
+        yield prefixes, keys
+        for key in set(keys):
+            if key not in shapes:
+                shapes[key] = _split_shape(key, p)
+        children = [{k: kids[i] for k, (_, kids) in shapes.items()}
+                    for i in range(p)]
+        prefixes = [u + child[k][0] for child in children
+                    for u, k in zip(prefixes, keys)]
+        keys = [child[k][1] for child in children for k in keys]
+    yield prefixes, keys
+
+
+def _shape_leaves(p: int, depth: int, shapes: dict) -> list:
+    """The leaves of the even-shift chart: leaf z holds class z of the last
+    level, its prefix followed by each suffix of its shape."""
+    for prefixes, keys in _class_levels(p, depth, shapes):
+        pass
+    suffixes = {k: [w[len(_REPRESENTATIVE[k[0]]):] for w in _shape_words(k)]
+                for k in set(keys)}
+    return [ChartNode(tuple(map(u.__add__, suffixes[k])), None, len(u) + k[1])
+            for u, k in zip(prefixes, keys)]
+
+
+def _shape_internal(p: int, depth: int, shapes: dict) -> list:
+    """The words of every internal node of the even-shift chart, one list
+    per level: a node's words are its prefix followed by each suffix its
+    shape split."""
+    levels = list(_class_levels(p, depth, shapes))[:-1]
+    return [[tuple(map(u.__add__, shapes[k][0])) for u, k in zip(*level)]
+            for level in levels]
 
 
 def _digit_levels(p: int, depth: int) -> tuple:
     """The full-shift chart in closed form: the split builder cuts every
     class at its last letter, so node r of level l holds the p words
     digits(r, l) + (b,) (base-p digits, least significant first) and leaf
-    z the single word digits(z, depth)."""
+    z the single word digits(z, depth).  Returns the internal nodes' words,
+    one list per level, and the leaf words."""
     digits, internal = [()], []
     for lv in range(depth):
         digits = [w + (b,) for b in range(p) for w in digits]
         n = p ** lv
         internal.append([tuple(digits[r::n]) for r in range(n)])
-    return internal, [ChartNode((w,), None, depth) for w in digits]
+    return internal, digits
 
 
 def _link(internal: list, leaves: list) -> ChartNode:
@@ -251,7 +273,7 @@ def _link(internal: list, leaves: list) -> ChartNode:
 def _collector_paused():
     """Run the body with the cyclic collector off, then restore the
     caller's setting.  A chart is acyclic, so reference counting frees
-    it, while each full collection during a build would rescan every node
+    it, while each collection during a build would rescan every object
     made so far."""
     enabled = gc.isenabled()
     gc.disable()
@@ -262,22 +284,28 @@ def _collector_paused():
             gc.enable()
 
 
-@dataclass
+@dataclass(eq=False)
 class CantorChart:
     """Bijection between depth-d digit balls and subshift cylinder classes.
 
     `leaves[z]` is the leaf of residue z, and `index` maps every leaf word
     to its residue; `lengths` lists the distinct leaf word lengths, most
-    common first.
+    common first.  `root`, the split tree above the leaves, is built by
+    `tree()` when first read; no chart operation reads it.
     """
 
     p: int
     depth: int
     subshift: str
-    root: ChartNode
     leaves: list = field(repr=False)
     index: dict = field(repr=False)
     lengths: tuple = field(repr=False)
+    tree: Callable[[], ChartNode] = field(repr=False)
+
+    @cached_property
+    def root(self) -> ChartNode:
+        with _collector_paused():
+            return self.tree()
 
     def encode(self, word: Tuple[int, ...]) -> int:
         """Chart image of an admissible word (zero-extended as needed).
@@ -304,39 +332,89 @@ class CantorChart:
         return self.leaves[z % len(self.leaves)].words[0]
 
 
+class _DigitChart(CantorChart):
+    """The full-shift chart, which is the base-p digit chart: leaf z holds
+    the single word of z's `depth` digits, least significant first.  Encode
+    and decode are digit arithmetic; `leaves`, `index`, `lengths` and
+    `root` are derived when first read."""
+
+    def __init__(self, p: int, depth: int):
+        self.p, self.depth, self.subshift = p, depth, "full"
+        self._letters = {b: b for b in range(p)}
+
+    @cached_property
+    def leaves(self) -> list:
+        return [ChartNode((w,), None, self.depth)
+                for w in _digit_levels(self.p, self.depth)[1]]
+
+    @cached_property
+    def index(self) -> dict:
+        return {leaf.words[0]: z for z, leaf in enumerate(self.leaves)}
+
+    @cached_property
+    def lengths(self) -> tuple:
+        return (self.depth,)
+
+    @cached_property
+    def root(self) -> ChartNode:
+        with _collector_paused():
+            return _link(_digit_levels(self.p, self.depth)[0], self.leaves)
+
+    def encode(self, word: Tuple[int, ...]) -> int:
+        """The residue whose digits are the word's first `depth` letters,
+        zero-padded: what the leaf word lookup of `CantorChart.encode`
+        gives on this chart."""
+        letters, p = self._letters, self.p
+        z, pw = 0, 1
+        for a in tuple(word)[:self.depth]:
+            b = letters.get(a)
+            if b is None:
+                raise BadParams(
+                    f"word {word} is not admissible for this chart")
+            z += b * pw
+            pw *= p
+        return z
+
+    def decode(self, z: int) -> Tuple[int, ...]:
+        """The `depth` base-p digits of z mod p**depth."""
+        p = self.p
+        z %= p ** self.depth
+        out = []
+        for _ in range(self.depth):
+            z, b = divmod(z, p)
+            out.append(b)
+        return tuple(out)
+
+
 def build_cantor_chart(subshift: str, p: int, depth: int) -> CantorChart:
     """Split cylinder classes into p groups down to `depth`, indexing each
     leaf by its residue sum(child index * p**level).  The even shift runs
-    the split search; the full shift's split is base-p digits, built
-    directly."""
-    if subshift == "even":
-        levels = _split_levels
-    elif subshift == "full":
-        levels = _digit_levels
-    else:
+    the split search once per class shape and makes only the leaves; the
+    full shift's split is base-p digits, computed, not stored."""
+    if subshift not in ("even", "full"):
         raise BadParams(f"unknown subshift {subshift!r}")
     if depth < 1:
         raise BadParams("chart depth must be positive")
+    if subshift == "full":
+        return _DigitChart(p, depth)
+    shapes = {}
     with _collector_paused():
-        internal, leaves = levels(p, depth)
-        # indexed before the internal nodes exist, so that the dict's last
-        # resize does not add to the build's peak memory
-        index = {w: z for z, leaf in enumerate(leaves) for w in leaf.words}
-        root = _link(internal, leaves)
-        counts = Counter(len(leaf.words[0]) for leaf in leaves)
+        leaves = _shape_leaves(p, depth, shapes)
+    index = {w: z for z, leaf in enumerate(leaves) for w in leaf.words}
+    counts = Counter(len(leaf.words[0]) for leaf in leaves)
     lengths = tuple(L for L, _ in counts.most_common())
-    return CantorChart(p, depth, subshift, root, leaves, index, lengths)
+    return CantorChart(
+        p, depth, subshift, leaves, index, lengths,
+        lambda: _link(_shape_internal(p, depth, shapes), leaves))
 
 
 def transported_shift_table(chart: CantorChart) -> list:
     """s = chart o shift o chart^-1 as a table on depth-digit residues.
-    On the full-shift chart leaf z is z's base-p digits, least significant
+    On the digit chart leaf z is z's base-p digits, least significant
     first, so s drops the lowest digit: s(z) = z // p."""
-    if chart.subshift == "full":
-        # the entries are the index's residue objects, as encode would
-        # return them, so the table holds no int of its own
-        p, index, leaves = chart.p, chart.index, chart.leaves
-        return [index[leaves[z // p].words[0]] for z in range(len(leaves))]
+    if isinstance(chart, _DigitChart):
+        p = chart.p
+        return [z // p for z in range(p ** chart.depth)]
     encode = chart.encode
     return [encode(leaf.words[0][1:]) for leaf in chart.leaves]
 

@@ -336,12 +336,18 @@ def make_padic(ctx: PrecisionContext, base_exp: int, digits: Iterable[int]) -> P
         if not ctx.u_min <= base_exp <= ctx.u_max:
             raise WindowViolation(
                 f"base exponent {base_exp} outside window [{ctx.u_min}, {ctx.u_max}]")
+    p = ctx.prime
     for d in digits:
-        if not isinstance(d, int) or not 0 <= d < ctx.prime:
-            raise AlphabetViolation(f"digit {d!r} outside 0..{ctx.prime - 1}")
-    if len(digits) > ctx.digit_budget:
-        digits = digits[:ctx.digit_budget]
-    return PAdic(ctx.prime, base_exp, digits)
+        if not isinstance(d, int) or not 0 <= d < p:
+            raise AlphabetViolation(f"digit {d!r} outside 0..{p - 1}")
+    digits = digits[:ctx.digit_budget]
+    m, pw = 0, 1
+    for d in digits:
+        m += d * pw
+        pw *= p
+    x = _raw(p, base_exp, m, len(digits))
+    x._digits = digits
+    return x
 
 
 def norm(x: PAdic) -> NormValue:

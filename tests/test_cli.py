@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from padic_dynamics import cli
+from padic_dynamics import cli, counterexample
 from padic_dynamics.padic import PAdic
 
 
@@ -209,6 +209,18 @@ def test_counterexample_command(capsys):
     assert code == 0
     assert rep["records"]["even"]["shadowed"] is False
     assert rep["records"]["full_control"]["shadowed"] is True
+
+
+def test_counterexample_command_derives_no_chart_tree(capsys, monkeypatch):
+    def no_tree(internal, leaves):
+        raise AssertionError("a chart tree was derived")
+
+    argv = ["counterexample", "--p", "3", "--depth", "7", "--delta", "p^-4",
+            "--eps", "p^-1"]
+    want = run(capsys, argv)
+    with monkeypatch.context() as m:
+        m.setattr(counterexample, "_link", no_tree)
+        assert run(capsys, argv) == want
 
 
 def test_suite_quick(capsys):

@@ -250,7 +250,7 @@ def _reference_split_chart(p, depth):
     root = build(extend([()]), 0, 0)
     counts = Counter(len(leaf.words[0]) for leaf in leaves)
     lengths = tuple(L for L, _ in counts.most_common())
-    return CantorChart(p, depth, "full", root, leaves, index, lengths)
+    return CantorChart(p, depth, "full", leaves, index, lengths, lambda: root)
 
 
 def _walk(node):
@@ -315,6 +315,26 @@ def test_chart_tree_is_pinned(key):
     assert digest == TREE_DIGESTS[key]
 
 
+def no_tree(internal, leaves):
+    raise AssertionError("a chart tree was derived")
+
+
+@pytest.mark.parametrize("subshift,depth,delta", [("even", 8, 5),
+                                                   ("full", 6, 4)])
+def test_demo_derives_no_tree(monkeypatch, subshift, depth, delta):
+    """Building a chart and running the demonstration on it derive no
+    tree; the chart derives its pinned tree when `root` is read later."""
+    args = (3, depth, NormValue(3, delta), NormValue(3, 1), subshift)
+    with monkeypatch.context() as m:
+        m.setattr(counterexample, "_link", no_tree)
+        chart = build_cantor_chart(subshift, 3, depth)
+        res = demonstrate_non_shadowing(*args, require_witness=False,
+                                        chart=chart)
+    assert res == demonstrate_non_shadowing(*args, require_witness=False)
+    digest = hashlib.sha256(repr(_walk(chart.root)).encode()).hexdigest()
+    assert digest == TREE_DIGESTS[(subshift, 3, depth)]
+
+
 # Reference: the even-shift builder before it split each class shape
 # once; it runs the split search on every class.
 
@@ -348,10 +368,13 @@ def _reference_even_levels(p, depth):
                          + [(5, d) for d in range(1, 7)]
                          + [(7, d) for d in range(1, 5)])
 def test_even_levels_match_reference(p, depth):
-    """Splitting each class shape once gives every internal node's words
-    and every leaf of the split search run on each class."""
-    assert counterexample._split_levels(p, depth) == \
-        _reference_even_levels(p, depth)
+    """Splitting each class shape once gives every leaf of the split search
+    run on each class, and the internal node words derived from the same
+    shape table give every internal node's words."""
+    shapes = {}
+    leaves = counterexample._shape_leaves(p, depth, shapes)
+    internal = counterexample._shape_internal(p, depth, shapes)
+    assert (internal, leaves) == _reference_even_levels(p, depth)
 
 
 def test_even_chart_splits_each_shape_once(monkeypatch):
@@ -407,15 +430,19 @@ def test_encode_tries_own_length_first(p, depth):
 
 @pytest.mark.parametrize("subshift", ["even", "full"])
 def test_dropped_chart_leaves_no_cyclic_garbage(subshift):
-    """A chart is acyclic: with the collector paused, dropping it frees
-    everything, so a later collection finds nothing."""
+    """A chart is acyclic, also once its tree has been derived: with the
+    collector paused, dropping it frees everything, so a later collection
+    finds nothing."""
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        chart = build_cantor_chart(subshift, 3, 6)
-        del chart
-        assert gc.collect() == 0
+        for read_root in (False, True):
+            chart = build_cantor_chart(subshift, 3, 6)
+            if read_root:
+                assert chart.root.children is not None
+            del chart
+            assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
@@ -427,7 +454,9 @@ def test_builder_leaves_collector_state_as_found(monkeypatch):
         for state in (True, False):
             (gc.enable if state else gc.disable)()
             for subshift in ("even", "full"):
-                build_cantor_chart(subshift, 3, 3)
+                chart = build_cantor_chart(subshift, 3, 3)
+                assert gc.isenabled() is state
+                chart.root
                 assert gc.isenabled() is state
             with pytest.raises(BadParams):
                 build_cantor_chart("even", 3, 0)

@@ -171,6 +171,18 @@ def test_make_padic_validates_and_truncates():
     assert len(x.digits) == 4
 
 
+@pytest.mark.parametrize("digits", [[0, 2, 1], [1, 0, 1, 1, 1, 2]])
+def test_make_padic_checks_every_digit_once(digits):
+    """A bad digit inside the budget or beyond it raises make_padic's own
+    message; good digits build the value that PAdic(...) builds."""
+    ctx = PrecisionContext(2, 4)
+    with pytest.raises(AlphabetViolation, match=r"^digit 2 outside 0\.\.1$"):
+        make_padic(ctx, 0, digits)
+    good = [d % 2 for d in digits]
+    assert make_padic(ctx, 0, good) == PAdic(2, 0, tuple(good[:4]))
+    assert make_padic(ctx, 0, good).digits == tuple(good[:4])
+
+
 def test_digit_at_and_normalized():
     x = PAdic(3, 0, (0, 0, 2, 1))
     assert x.digit_at(-5) == 0
