@@ -13,10 +13,10 @@ once per shape, on a representative prefix, and a level pass carries each
 class as (prefix, shape) down to the leaves; only the leaves become words,
 each recorded under its residue with every leaf word in one index, so
 encoding and decoding are lookups, not tree walks.  The full-shift chart
-is the base-p digit chart, which that search would find: encoding and
-decoding are digit arithmetic and its tables are derived when read.  The
-node tree above the leaves (`CantorChart.root`) is derived from the same
-data when first read; nothing in the demonstration reads it.
+is the base-p digit chart, which that search would find: encoding is
+digit arithmetic and its tables are derived when read.  The node tree
+above the leaves (`CantorChart.root`) is derived from the same data when
+first read; nothing in the demonstration reads it.
 
 The transported shift s acts on the top digit block of x = a + b*p +
 z*p**2; the full map fixes a = 0, projects b = 0 down to z, and otherwise
@@ -175,7 +175,7 @@ def _split_shape(key: tuple, p: int) -> tuple:
     and for each block a child (ext, key): the letters the block's common
     prefix adds to u, and the block's own shape.
     """
-    words = work = _shape_words(key)
+    work = _shape_words(key)
     for _round in range(4 * p + 8):
         if len(work) >= p:
             try:
@@ -186,7 +186,8 @@ def _split_shape(key: tuple, p: int) -> tuple:
         work = _extend_words(work)
     else:
         raise ChartExhausted(
-            f"cannot split class {words[:2]}... into {p} groups")
+            f"cannot split the classes of shape {key} (state, length) "
+            f"into {p} groups")
     cut = len(_REPRESENTATIVE[key[0]])
     length = len(work[0])
     children = []
@@ -195,8 +196,8 @@ def _split_shape(key: tuple, p: int) -> tuple:
         m = cut
         while m < length and first[m] == last[m]:
             m += 1
-        key = (_follower_state(first[:m]), length - m)
-        children.append((first[cut:m], key))
+        children.append((first[cut:m],
+                         (_follower_state(first[:m]), length - m)))
     return tuple([w[cut:] for w in work]), children
 
 
@@ -284,14 +285,14 @@ def _collector_paused():
             gc.enable()
 
 
-@dataclass(eq=False)
+@dataclass
 class CantorChart:
     """Bijection between depth-d digit balls and subshift cylinder classes.
 
     `leaves[z]` is the leaf of residue z, and `index` maps every leaf word
     to its residue; `lengths` lists the distinct leaf word lengths, most
     common first.  `root`, the split tree above the leaves, is built by
-    `tree()` when first read; no chart operation reads it.
+    `tree(leaves)` when first read; no chart operation reads it.
     """
 
     p: int
@@ -300,12 +301,12 @@ class CantorChart:
     leaves: list = field(repr=False)
     index: dict = field(repr=False)
     lengths: tuple = field(repr=False)
-    tree: Callable[[], ChartNode] = field(repr=False)
+    tree: Callable[[list], ChartNode] = field(repr=False, compare=False)
 
     @cached_property
     def root(self) -> ChartNode:
         with _collector_paused():
-            return self.tree()
+            return self.tree(self.leaves)
 
     def encode(self, word: Tuple[int, ...]) -> int:
         """Chart image of an admissible word (zero-extended as needed).
@@ -335,11 +336,13 @@ class CantorChart:
 class _DigitChart(CantorChart):
     """The full-shift chart, which is the base-p digit chart: leaf z holds
     the single word of z's `depth` digits, least significant first.  Encode
-    and decode are digit arithmetic; `leaves`, `index`, `lengths` and
-    `root` are derived when first read."""
+    is digit arithmetic; `leaves`, `index` and `root` are derived when
+    first read."""
 
     def __init__(self, p: int, depth: int):
         self.p, self.depth, self.subshift = p, depth, "full"
+        self.lengths = (depth,)
+        self.tree = lambda leaves: _link(_digit_levels(p, depth)[0], leaves)
         self._letters = {b: b for b in range(p)}
 
     @cached_property
@@ -350,15 +353,6 @@ class _DigitChart(CantorChart):
     @cached_property
     def index(self) -> dict:
         return {leaf.words[0]: z for z, leaf in enumerate(self.leaves)}
-
-    @cached_property
-    def lengths(self) -> tuple:
-        return (self.depth,)
-
-    @cached_property
-    def root(self) -> ChartNode:
-        with _collector_paused():
-            return _link(_digit_levels(self.p, self.depth)[0], self.leaves)
 
     def encode(self, word: Tuple[int, ...]) -> int:
         """The residue whose digits are the word's first `depth` letters,
@@ -374,16 +368,6 @@ class _DigitChart(CantorChart):
             z += b * pw
             pw *= p
         return z
-
-    def decode(self, z: int) -> Tuple[int, ...]:
-        """The `depth` base-p digits of z mod p**depth."""
-        p = self.p
-        z %= p ** self.depth
-        out = []
-        for _ in range(self.depth):
-            z, b = divmod(z, p)
-            out.append(b)
-        return tuple(out)
 
 
 def build_cantor_chart(subshift: str, p: int, depth: int) -> CantorChart:
@@ -405,7 +389,7 @@ def build_cantor_chart(subshift: str, p: int, depth: int) -> CantorChart:
     lengths = tuple(L for L, _ in counts.most_common())
     return CantorChart(
         p, depth, subshift, leaves, index, lengths,
-        lambda: _link(_shape_internal(p, depth, shapes), leaves))
+        lambda leaves: _link(_shape_internal(p, depth, shapes), leaves))
 
 
 def transported_shift_table(chart: CantorChart) -> list:

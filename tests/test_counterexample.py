@@ -2,6 +2,7 @@
 piecewise map and its non-covering right inverses, and the pseudo-orbit
 that no true orbit shadows."""
 
+import dataclasses
 import gc
 import hashlib
 import random
@@ -250,7 +251,8 @@ def _reference_split_chart(p, depth):
     root = build(extend([()]), 0, 0)
     counts = Counter(len(leaf.words[0]) for leaf in leaves)
     lengths = tuple(L for L, _ in counts.most_common())
-    return CantorChart(p, depth, "full", leaves, index, lengths, lambda: root)
+    return CantorChart(p, depth, "full", leaves, index, lengths,
+                       lambda leaves: root)
 
 
 def _walk(node):
@@ -429,6 +431,17 @@ def test_encode_tries_own_length_first(p, depth):
 
 
 @pytest.mark.parametrize("subshift", ["even", "full"])
+def test_chart_fields_and_equality(subshift):
+    """Every declared field is set on both kinds of chart, and charts
+    compare by their data, not by identity or by their tree builder."""
+    chart = build_cantor_chart(subshift, 3, 4)
+    for f in dataclasses.fields(chart):
+        getattr(chart, f.name)
+    assert chart == build_cantor_chart(subshift, 3, 4)
+    assert chart != build_cantor_chart(subshift, 3, 3)
+
+
+@pytest.mark.parametrize("subshift", ["even", "full"])
 def test_dropped_chart_leaves_no_cyclic_garbage(subshift):
     """A chart is acyclic, also once its tree has been derived: with the
     collector paused, dropping it frees everything, so a later collection
@@ -472,7 +485,7 @@ def test_builder_leaves_collector_state_as_found(monkeypatch):
 
             with monkeypatch.context() as m:
                 m.setattr(counterexample, "_split_aligned", never)
-                with pytest.raises(ChartExhausted):
+                with pytest.raises(ChartExhausted, match=r"shape \(0, 1\)"):
                     build_cantor_chart("even", 3, 3)
             assert gc.isenabled() is state
     finally:
