@@ -8,8 +8,12 @@ contraction.  Every scan is exhaustive over the tabulated map: it covers
 all M(M-1)/2 pairs of the M residues without visiting them one by one.
 The pairs are grouped by their input level j (|x - y| = p**-j) and each
 level is summarised by whole-table passes (_level_profile); expansivity
-hashes itineraries instead.  Contexts above ctx.ball_budget residues do
-not tabulate and raise BudgetExceeded.
+hashes itineraries instead.  Every other witness, the first pair in
+combinations(range(M), 2) order with some property, comes from one search
+(_first_pairs) for level-j pairs whose output valuation lies in a range,
+and each scan asks it only for ranges that the level profile shows are
+reached, so the walk ends at a hit.  Contexts above ctx.ball_budget
+residues do not tabulate and raise BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, cycle, repeat
+from itertools import cycle, repeat
 from operator import mod, mul, sub
 from typing import Optional
 
@@ -86,25 +90,35 @@ def _level_profile(f: DynamicMap) -> list:
     return profile
 
 
-def _first_pairs(f: DynamicMap, targets: dict, agree: bool):
-    """Yield (j, (x, y)) for each level j in targets: the first pair in
-    combinations(range(M), 2) order with |x - y| = p**-j whose images agree
-    mod p**targets[j] (agree=True) or differ there (agree=False), in the
-    order that scan meets them.  Every target level must have such a pair.
+def _first_pairs(f: DynamicMap, ranges):
+    """Yield (j, (x, y)) for each level j of the valuation ranges (j, a, b):
+    the first pair in combinations(range(M), 2) order with |x - y| = p**-j
+    whose capped output valuation v lies in a <= v < b for one of level j's
+    ranges (b None: no upper end; ranges with a >= b are dropped), in the
+    order that scan meets them.  The walk stops at each level's first hit,
+    so callers pass only ranges that the level profile shows are reached.
     """
-    p, M = f.ctx.prime, f.ctx.modulus
+    ctx = f.ctx
+    p, M = ctx.prime, ctx.modulus
+    cap = ctx.total_digits - f.precision_loss
+    pcap = p ** cap
     table = f.tabulate()
-    left = {j: p ** t for j, t in targets.items()}
+    # gcd(f(x) - f(y), p**cap) is p**v for the capped output valuation v
+    left = {}
+    for j, a, b in ranges:
+        top = cap + 1 if b is None else min(b, cap + 1)
+        if a < top:
+            left.setdefault(j, set()).update(p ** v for v in range(a, top))
     for x in range(M):
         if not left:
             return
         fx = table[x]
         row = []
-        for j, modulus in left.items():
+        for j, wanted in left.items():
             step = p ** j
             for y in range(x + step, M, step):
                 if (y - x) % (step * p) and \
-                        ((fx - table[y]) % modulus == 0) == agree:
+                        math.gcd(fx - table[y], pcap) in wanted:
                     row.append((y, j))
                     break
         for y, j in sorted(row):
@@ -138,17 +152,18 @@ def estimate_lipschitz(f: DynamicMap) -> LipschitzEstimate:
     # a level-j pair with output valuation v has ratio p**(j - v), so the
     # least ratio sits at some level's hi and the largest at some lo
     e1 = min(j - hi for j, (_, hi, _) in enumerate(profile))
-    low = {j: hi for j, (_, hi, _) in enumerate(profile) if j - hi == e1}
-    _, wlow = next(_first_pairs(f, low, True))
+    low = [(j, hi, None) for j, (_, hi, _) in enumerate(profile)
+           if j - hi == e1]
+    _, wlow = next(_first_pairs(f, low))
     # images equal at certified resolution certify no upper ratio: the
     # true output valuation may exceed the cap
     e2 = max((j - lo for j, (lo, _, _) in enumerate(profile) if lo < cap),
              default=None)
     c2 = whigh = None
     if e2 is not None:
-        high = {j: lo + 1 for j, (lo, _, _) in enumerate(profile)
-                if lo < cap and j - lo == e2}
-        _, whigh = next(_first_pairs(f, high, False))
+        high = [(j, lo, lo + 1) for j, (lo, _, _) in enumerate(profile)
+                if lo < cap and j - lo == e2]
+        _, whigh = next(_first_pairs(f, high))
         c2 = Fraction(p) ** e2
     return LipschitzEstimate(Fraction(p) ** e1, c2, True, M * (M - 1) // 2,
                              wlow, whigh)
@@ -163,24 +178,20 @@ def check_locally_scaling(f: DynamicMap, k: int, m_exp: int) -> tuple:
     output digits are skipped rather than falsified.
     """
     ctx = f.ctx
-    p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
-    cap = D - f.precision_loss
-    first = k - ctx.u_min
-    if all(lo == hi == j + m_exp
-           for j, (lo, hi, _) in enumerate(_level_profile(f))
-           if j >= first and j + m_exp < cap):
+    cap = ctx.total_digits - f.precision_loss
+    # a level-j pair fails when its output valuation is not e = j + m_exp
+    ranges = []
+    for j, (lo, hi, _) in enumerate(_level_profile(f)):
+        e = j + m_exp
+        if j >= k - ctx.u_min and e < cap:
+            if lo < e:
+                ranges.append((j, 0, e))
+            if hi > e:
+                ranges.append((j, e + 1, None))
+    if not ranges:
         return True, None
-    table = f.tabulate()
-    for x, y in combinations(range(M), 2):
-        vin = valuation(y - x, p, D)
-        if vin < first:
-            continue
-        expected = vin + m_exp
-        if expected >= cap:
-            continue
-        if valuation((table[x] - table[y]) % M, p, cap) != expected:
-            return False, (x, y)
-    return True, None
+    _, witness = next(_first_pairs(f, ranges))
+    return False, witness
 
 
 @dataclass
@@ -200,22 +211,23 @@ def scaling_profile(f: DynamicMap) -> ScalingProfile:
     contradicting the table; that pair is the witness.
     """
     ctx = f.ctx
-    p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
-    cap = D - f.precision_loss
+    p, M = ctx.prime, ctx.modulus
+    cap = ctx.total_digits - f.precision_loss
     profile = _level_profile(f)
-    if not any(middle for _, _, middle in profile):
-        resolved = {j: cap for j, (lo, _, _) in enumerate(profile) if lo < cap}
-        table = {j: profile[j][0] for j, _ in _first_pairs(f, resolved, False)}
-        return ScalingProfile(table, True, True)
     images = f.tabulate()
-    table = {}
-    for x, y in combinations(range(M), 2):
-        vout = valuation((images[x] - images[y]) % M, p, cap)
-        if vout >= cap:
-            continue        # below certified resolution; unusable
-        if table.setdefault(valuation(y - x, p, D), vout) != vout:
-            return ScalingProfile(table, False, True, (x, y))
-    return ScalingProfile(table, True, True)
+    # the first usable pair of each level sets its table entry
+    firsts = [(j, (x, y), valuation((images[x] - images[y]) % M, p, cap))
+              for j, (x, y) in _first_pairs(
+                  f, [(j, 0, cap) for j, (lo, _, _) in enumerate(profile)
+                      if lo < cap])]
+    # a level holds two usable valuations exactly when it has a middle one
+    if not any(middle for _, _, middle in profile):
+        return ScalingProfile({j: v for j, _, v in firsts}, True, True)
+    ranges = [r for j, _, v in firsts if profile[j][2]
+              for r in ((j, 0, v), (j, v + 1, cap))]
+    _, witness = next(_first_pairs(f, ranges))
+    table = {j: v for j, pair, v in firsts if pair < witness}
+    return ScalingProfile(table, False, True, witness)
 
 
 def image_openness(f: DynamicMap) -> Optional[NormValue]:

@@ -274,6 +274,8 @@ def _cmd_analyze(args) -> int:
                 "c2_upper": _frac_str(est.c2_upper),
                 "exhaustive": est.exhaustive,
                 "pairs": est.pairs,
+                "witness_low": est.witness_low,
+                "witness_high": est.witness_high,
             }
         elif check == "scaling":
             prof = analysis.scaling_profile(f)
@@ -281,6 +283,7 @@ def _cmd_analyze(args) -> int:
                 "consistent": prof.consistent,
                 "exhaustive": prof.exhaustive,
                 "profile": {str(k): v for k, v in sorted(prof.table.items())},
+                "witness": prof.witness,
             }
             ok = ok and prof.consistent
         elif check == "openness":
@@ -293,13 +296,15 @@ def _cmd_analyze(args) -> int:
                 "horizon": args.horizon,
                 "exhaustive": True,
                 "pairs": pairs,
+                "witness": witness,
             }
         elif check.startswith("locally_scaling"):
             k = args.k
             m = args.m
             good, witness = analysis.check_locally_scaling(f, k, m)
             records["locally_scaling"] = {"k": k, "m": m, "ok": good,
-                                          "exhaustive": True, "pairs": pairs}
+                                          "exhaustive": True, "pairs": pairs,
+                                          "witness": witness}
             ok = ok and good
         else:
             raise PadicDynamicsError(f"unknown check {check!r}")

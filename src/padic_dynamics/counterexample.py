@@ -45,7 +45,6 @@ from .errors import (
     BadParams,
     ChartExhausted,
     DepthInsufficient,
-    IsolatedPoint,
     NoWitnessFound,
 )
 from .dynamics import DynamicMap, RightInverseFamily
@@ -141,10 +140,7 @@ def _extend_words(words: list) -> list:
     """One letter of growth for every word in the class."""
     grown = []
     for w in words:
-        exts = _even_extensions(w)
-        if not exts:
-            raise IsolatedPoint(f"word {w} has no admissible extension")
-        for a in exts:
+        for a in _even_extensions(w):
             grown.append(w + (a,))
     grown.sort()
     return grown
@@ -488,10 +484,15 @@ def _splice_orbit(chart: CantorChart, q: int) -> tuple:
     return tuple(pts)
 
 
+# The lifted orbit's low digit a (nonzero: the map fixes every x with
+# a = 0) and the longest faked zero-run tried.
+_LOW_DIGIT = 1
+_MAX_RUN = 40
+
+
 def demonstrate_non_shadowing(p: int, chart_depth: int, delta: NormValue,
                               eps: NormValue, subshift: str = "even",
-                              a_digit: int = 1, require_witness: bool = True,
-                              max_q: int = 40,
+                              require_witness: bool = True,
                               chart: Optional[CantorChart] = None
                               ) -> NonShadowingResult:
     """Construct a delta-pseudo-orbit of the transported shift, lift it,
@@ -507,8 +508,6 @@ def demonstrate_non_shadowing(p: int, chart_depth: int, delta: NormValue,
     """
     if p < 3:
         raise BadParams("the construction needs p >= 3")
-    if a_digit < 1 or a_digit >= p:
-        raise BadParams("fixed low digit must be nonzero")
     z_ctx = PrecisionContext(p, chart_depth)
     f_ctx = PrecisionContext(p, chart_depth + 2)
     if chart is None:
@@ -521,7 +520,7 @@ def demonstrate_non_shadowing(p: int, chart_depth: int, delta: NormValue,
 
     orbit_s = None
     chosen_q = None
-    for q in range(3, max_q + 1, 2):
+    for q in range(3, _MAX_RUN + 1, 2):
         pts = _splice_orbit(chart, q)
         defect = z_ctx.max_norm(
             [s_table[pts[n]] - pts[n + 1] for n in range(len(pts) - 1)])
@@ -531,11 +530,11 @@ def demonstrate_non_shadowing(p: int, chart_depth: int, delta: NormValue,
             break
     if orbit_s is None:
         raise NoWitnessFound(
-            f"no odd run length up to {max_q} hides the fault below delta")
+            f"no odd run length up to {_MAX_RUN} hides the fault below delta")
 
     f = build_thm2_map(f_ctx, s_table, chart_depth)
     p2 = p * p
-    lifted = tuple(a_digit + ((n % (p - 1)) + 1) * p + z * p2
+    lifted = tuple(_LOW_DIGIT + ((n % (p - 1)) + 1) * p + z * p2
                    for n, z in enumerate(orbit_s))
     orbit_f = PseudoOrbit(f_ctx, lifted, delta.scaled(2))
     worst = verify_pseudo_orbit(f, orbit_f)

@@ -77,10 +77,6 @@ class NotClose(PadicDynamicsError):
 
 # --- subshift chart ---
 
-class IsolatedPoint(PadicDynamicsError):
-    """Subshift has an isolated point at this depth; not Cantor-perfect."""
-
-
 class ChartExhausted(PadicDynamicsError):
     """Cannot split a cylinder class into p nonempty groups at this depth."""
 

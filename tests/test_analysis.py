@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from padic_dynamics import analysis
 from padic_dynamics.analysis import (
     check_locally_scaling,
     estimate_lipschitz,
@@ -323,8 +324,9 @@ def _profile_fields(prof):
 def _seeded_cases(p, N):
     """(map, locally-scaling (k, m) checks) on Z_p at N digits: the shift,
     an affine contraction, example2_R, a seeded digit_local perturbation
-    of each of the first two, and furno_compose at the right and a wrong
-    exponent."""
+    of each of the first two, furno_compose at the right and a wrong
+    exponent, and the identity with f(M-1) = f(M-2), whose least-ratio
+    pair (M-2, M-1) is the last pair of the scan."""
     ctx = PrecisionContext(p, N)
     shift = builtin_map("shift_zp", ctx)
     affine = builtin_map("affine", ctx, v=p, w=1)
@@ -336,6 +338,11 @@ def _seeded_cases(p, N):
         cases.append((perturb(base, phi), [(0, 1)]))
     w = bijective_isometry(ctx, "triangular", seed=N)
     cases.append((furno_compose(w, 2), [(2, -2), (2, -1), (1, -2)]))
+    M = ctx.modulus
+    late = list(range(M))
+    late[M - 1] = M - 2
+    cases.append((DynamicMap("late", ctx, late.__getitem__),
+                  [(0, 0), (1, 0)]))
     return cases
 
 
@@ -345,7 +352,7 @@ def test_level_profile_scans_bit_identical_to_pair_scans(p, N):
     scaling = {True: 0, False: 0}
     cases = _seeded_cases(p, N)
     if p ** N > 300:
-        cases = cases[3:]       # the perturbed maps and furno_compose
+        cases = cases[3:]       # all but the first three maps
     for f, checks in cases:
         f.tabulate()
         assert _estimate_fields(estimate_lipschitz(f)) == \
@@ -471,6 +478,21 @@ def test_estimate_lipschitz_bit_identical_to_reference():
             s1, s2, exhaustive, *_ = _ref_estimate_lipschitz(f, seed)
             assert not exhaustive
             assert c1 <= s1 <= c2 and c1 <= s2 <= c2
+
+
+def test_passing_locally_scaling_check_walks_no_pairs(monkeypatch):
+    # the level profile alone certifies a passing check
+    def walk(f, ranges):
+        raise AssertionError(f"pair walk over {ranges}")
+
+    monkeypatch.setattr(analysis, "_first_pairs", walk)
+    ctx = PrecisionContext(2, 8)
+    f = furno_compose(bijective_isometry(ctx, "triangular", seed=1), 2)
+    R = builtin_map("affine", PrecisionContext(3, 6), v=3, w=2)
+    for g, k, m in ((f, 2, -2), (R, 0, 1), (R, 2, 1)):
+        assert check_locally_scaling(g, k, m) == (True, None)
+    with pytest.raises(AssertionError, match="pair walk"):
+        check_locally_scaling(f, 2, -1)
 
 
 def test_scans_raise_above_ball_budget():

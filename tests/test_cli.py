@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from padic_dynamics import cli, counterexample
-from padic_dynamics.padic import PAdic
+from padic_dynamics import analysis, cli, counterexample
+from padic_dynamics.padic import PAdic, PrecisionContext
 
 
 def run(capsys, argv):
@@ -172,11 +172,41 @@ def test_analyze_locally_scaling_and_expansivity_report_their_pairs(capsys):
     assert code == 0
     pairs = 3 ** 8 * (3 ** 8 - 1) // 2
     assert rep["records"]["locally_scaling"] == {
-        "k": 0, "m": 1, "ok": True, "exhaustive": True, "pairs": pairs}
+        "k": 0, "m": 1, "ok": True, "exhaustive": True, "pairs": pairs,
+        "witness": None}
     # the contraction never separates the closest pairs
     assert rep["records"]["expansivity"] == {
         "constant": "p^-7", "horizon": 4, "exhaustive": True,
-        "pairs": pairs}
+        "pairs": pairs, "witness": [0, 3 ** 7]}
+
+
+def test_analyze_reports_the_library_witnesses(capsys):
+    # the shift fails every check that has a witness, so each is a pair
+    argv = ["analyze", "--p", "3", "--digits", "5", "--map", "shift_zp",
+            "--checks", "lipschitz,scaling,openness,expansivity,"
+            "locally_scaling", "--k", "1", "--m", "1", "--horizon", "3"]
+    code, rep = run(capsys, argv)
+    assert code == 1
+    f, _ = cli.build_map("shift_zp", PrecisionContext(3, 5))
+    est = analysis.estimate_lipschitz(f)
+    prof = analysis.scaling_profile(f)
+    _, expansive = analysis.expansivity_constant(f, 3)
+    _, failing = analysis.check_locally_scaling(f, 1, 1)
+    records = rep["records"]
+    assert records["lipschitz"]["witness_low"] == list(est.witness_low)
+    assert records["lipschitz"]["witness_high"] == list(est.witness_high)
+    assert records["scaling"]["witness"] == list(prof.witness)
+    assert records["expansivity"]["witness"] == list(expansive)
+    assert records["locally_scaling"]["witness"] == list(failing)
+    assert "witness" not in records["openness"]
+    # a passing check and a consistent profile report no witness
+    code, rep = run(capsys, ["analyze", "--p", "3", "--digits", "5",
+                             "--map", "affine(v=3, w=1)",
+                             "--checks", "scaling,locally_scaling",
+                             "--k", "0", "--m", "1"])
+    assert code == 0
+    assert rep["records"]["scaling"]["witness"] is None
+    assert rep["records"]["locally_scaling"]["witness"] is None
 
 
 def test_analyze_failure_exits_one(capsys):
