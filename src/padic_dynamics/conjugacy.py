@@ -137,10 +137,11 @@ def _backward_passes(step: list, family: RightInverseFamily, tables: list,
                      depth: int) -> list:
     """x + z_0(x) for every residue x, z_0 from the depth-`depth` backward
     recursion along step-orbits: S_0 = id, S_k[x] = R_{i(x)}[S_{k-1}[step[x]]]
-    with R_i's table tables[i] and i(x) = family.membership(x).
+    with R_i's table tables[i] and i(x) = family.membership(x), read from
+    the family's membership table.
     """
     M = len(step)
-    idx = [family.membership(x) for x in range(M)]
+    idx = family.membership_table(M)
     if None in idx:
         raise CoveringViolation(
             f"residue {idx.index(None)} is not covered by any right inverse")

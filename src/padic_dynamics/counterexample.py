@@ -5,18 +5,22 @@ The chart identifies cylinder classes of the subshift with digit balls:
 each tree level splits a class of admissible words into p nonempty groups
 aligned to word subtrees, so two chart images are close exactly when the
 underlying words share a long prefix.  A chart build makes only what
-`encode`, `decode` and the transported shift read.  Every even-shift class
-is a cylinder, a prefix u and a shape: the follower-set state of u (no 1
-yet, or an even or odd zero-run after a 1) and the word length past u.
-How a class splits depends only on its shape, so the split search runs
-once per shape, on a representative prefix, and a level pass carries each
-class as (prefix, shape) down to the leaves; only the leaves become words,
-each recorded under its residue with every leaf word in one index, so
-encoding and decoding are lookups, not tree walks.  The full-shift chart
-is the base-p digit chart, which that search would find: encoding is
-digit arithmetic and its tables are derived when read.  The node tree
-above the leaves (`CantorChart.root`) is derived from the same data when
-first read; nothing in the demonstration reads it.
+`encode` and the transported shift read.  Every even-shift class is a
+cylinder, a prefix u and a shape: the follower-set state of u (no 1 yet,
+or an even or odd zero-run after a 1) and the word length past u.  How a
+class splits depends only on its shape, so the split search runs once per
+shape, on a representative prefix, and a level pass carries each class as
+(prefix, shape) down to the leaves.  A prefix is an integer code, a 1 bit
+followed by the word's letters, so growing it, dropping a leaf word's
+first letter, cutting it (a right shift) and zero-padding it (a left
+shift) are bit operations, and every leaf word's code is recorded under
+its residue in one index: encoding and the shift table are lookups, not
+tree walks, and no leaf word becomes a tuple.  The full-shift chart is
+the base-p digit chart, which that search would find: encoding is digit
+arithmetic.  The tuple views, each chart's leaves and word index, and the
+node tree above the leaves (`CantorChart.root`), are derived from the
+same data when first read; `decode` reads the leaves, and nothing in the
+demonstration reads any of them.
 
 The transported shift s acts on the top digit block of x = a + b*p +
 z*p**2; the full map fixes a = 0, projects b = 0 down to z, and otherwise
@@ -151,25 +155,32 @@ def _extend_words(words: list) -> list:
 _REPRESENTATIVE = {_NO_ONE: (), _EVEN_RUN: (1,), _ODD_RUN: (1, 0)}
 
 
-def _shape_words(key: tuple) -> tuple:
+def _shape(state: int, n: int) -> int:
+    """The key of the class shape (state, n): n, then the follower state in
+    the two low bits (an int, so that level passes hash it cheaply)."""
+    return n << 2 | state
+
+
+def _shape_words(key: int) -> tuple:
     """The class of shape key = (state, n) under the state's representative
     prefix: every admissible word extending it by n letters, sorted."""
-    state, n = key
+    state, n = key & 3, key >> 2
     words = [_REPRESENTATIVE[state]]
     for _ in range(n):
         words = _extend_words(words)
     return tuple(words)
 
 
-def _split_shape(key: tuple, p: int) -> tuple:
+def _split_shape(key: int, p: int) -> tuple:
     """Split the classes of one shape into p aligned blocks, growing their
     words as needed.
 
     A class of shape (state, n) is every admissible word of length |u| + n
     extending a prefix u in that follower state.  Each block is again a
     cylinder.  Returns the suffixes after u of the words that were split,
-    and for each block a child (ext, key): the letters the block's common
-    prefix adds to u, and the block's own shape.
+    and for each block a child (m, bits, key): the number m of letters the
+    block's common prefix adds to u, those letters as an integer
+    (`_bits`), and the block's own shape.
     """
     work = _shape_words(key)
     for _round in range(4 * p + 8):
@@ -182,9 +193,9 @@ def _split_shape(key: tuple, p: int) -> tuple:
         work = _extend_words(work)
     else:
         raise ChartExhausted(
-            f"cannot split the classes of shape {key} (state, length) "
-            f"into {p} groups")
-    cut = len(_REPRESENTATIVE[key[0]])
+            f"cannot split the classes of shape {(key & 3, key >> 2)} "
+            f"(state, length) into {p} groups")
+    cut = len(_REPRESENTATIVE[key & 3])
     length = len(work[0])
     children = []
     for block in blocks:
@@ -192,22 +203,40 @@ def _split_shape(key: tuple, p: int) -> tuple:
         m = cut
         while m < length and first[m] == last[m]:
             m += 1
-        children.append((first[cut:m],
-                         (_follower_state(first[:m]), length - m)))
+        children.append((m - cut, _bits(first[cut:m]),
+                         _shape(_follower_state(first[:m]), length - m)))
     return tuple([w[cut:] for w in work]), children
+
+
+def _bits(word) -> int:
+    """The letters of a binary word as an integer, first letter highest."""
+    b = 0
+    for a in word:
+        b = (b << 1) | a
+    return b
+
+
+# The ASCII digits of a code's binary form, mapped to the letters 0 and 1.
+_LETTERS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _word(code: int) -> tuple:
+    """The binary word of a code: its bits after the leading 1."""
+    return tuple(bin(code)[3:].encode().translate(_LETTERS))
 
 
 def _class_levels(p: int, depth: int, shapes: dict):
     """Yield the even-shift classes of levels 0 to `depth` as two lists,
-    each class's prefix and its shape.
+    each class's prefix code and its shape.
 
     Class r of a level has residue r, and child i of class r is class
     r + i*p**level of the next, so the children of class r sit at stride
-    p**level.  Child i of (u, k) is (u + ext, key) for the i-th child
-    (ext, key) of shape k, read from `shapes`, which maps each shape to
-    `_split_shape`'s result and gains every shape split on the way.
+    p**level.  Child i of (u, k) is (u << m | bits, key) for the i-th
+    child (m, bits, key) of shape k, read from `shapes`, which maps each
+    shape to `_split_shape`'s result and gains every shape split on the
+    way.
     """
-    prefixes, keys = [()], [(_NO_ONE, 1)]
+    prefixes, keys = [1], [_shape(_NO_ONE, 1)]
     for _ in range(depth):
         yield prefixes, keys
         for key in set(keys):
@@ -215,21 +244,34 @@ def _class_levels(p: int, depth: int, shapes: dict):
                 shapes[key] = _split_shape(key, p)
         children = [{k: kids[i] for k, (_, kids) in shapes.items()}
                     for i in range(p)]
-        prefixes = [u + child[k][0] for child in children
+        prefixes = [u << child[k][0] | child[k][1] for child in children
                     for u, k in zip(prefixes, keys)]
-        keys = [child[k][1] for child in children for k in keys]
+        keys = [child[k][2] for child in children for k in keys]
     yield prefixes, keys
 
 
-def _shape_leaves(p: int, depth: int, shapes: dict) -> list:
-    """The leaves of the even-shift chart: leaf z holds class z of the last
-    level, its prefix followed by each suffix of its shape."""
+def _leaf_codes(p: int, depth: int, shapes: dict) -> tuple:
+    """The leaf words of the even-shift chart as codes: each leaf's first
+    word, by residue, and every leaf word mapped to its residue.
+
+    Leaf z holds class z of the last level of shape (state, n): its prefix
+    code extended by each suffix of n letters of its shape, in sorted
+    order.  A zero run is always admissible, so the first suffix is 0^n.
+    """
     for prefixes, keys in _class_levels(p, depth, shapes):
         pass
-    suffixes = {k: [w[len(_REPRESENTATIVE[k[0]]):] for w in _shape_words(k)]
-                for k in set(keys)}
-    return [ChartNode(tuple(map(u.__add__, suffixes[k])), None, len(u) + k[1])
-            for u, k in zip(prefixes, keys)]
+    firsts = [u << (k >> 2) for u, k in zip(prefixes, keys)]
+    codes = dict(zip(firsts, range(len(firsts))))
+    more = {}
+    for k in set(keys):
+        cut = len(_REPRESENTATIVE[k & 3])
+        suffixes = [_bits(w[cut:]) for w in _shape_words(k)]
+        if len(suffixes) > 1:
+            more[k] = suffixes[1:]
+    codes.update((u << (k >> 2) | s, z)
+                 for z, (u, k) in enumerate(zip(prefixes, keys))
+                 if k in more for s in more[k])
+    return firsts, codes
 
 
 def _shape_internal(p: int, depth: int, shapes: dict) -> list:
@@ -237,8 +279,8 @@ def _shape_internal(p: int, depth: int, shapes: dict) -> list:
     per level: a node's words are its prefix followed by each suffix its
     shape split."""
     levels = list(_class_levels(p, depth, shapes))[:-1]
-    return [[tuple(map(u.__add__, shapes[k][0])) for u, k in zip(*level)]
-            for level in levels]
+    return [[tuple(map(_word(u).__add__, shapes[k][0]))
+             for u, k in zip(*level)] for level in levels]
 
 
 def _digit_levels(p: int, depth: int) -> tuple:
@@ -281,23 +323,74 @@ def _collector_paused():
             gc.enable()
 
 
+def _find(get: Callable, lengths: tuple, code: int,
+          whole: bool = True) -> Optional[int]:
+    """The residue of the leaf word that a word's code names, or None.
+
+    Leaves are disjoint cylinder sets and each leaf's words extend its
+    ancestors' blocks, so the word cut or zero-padded to a leaf word
+    length names at most one residue: the word itself is tried first,
+    then every leaf length in order, cutting by a right shift and padding
+    by a left shift.  `whole` is false when the word goes on past the
+    code's letters with a letter other than 0 or 1, which no leaf word
+    holds: then only cuts to at most the code's length can hit.
+    """
+    if whole:
+        z = get(code)
+        if z is not None:
+            return z
+    n = code.bit_length() - 1
+    for L in lengths:
+        if L <= n:
+            z = get(code >> n - L)
+        elif whole:
+            z = get(code << L - n)
+        else:
+            continue
+        if z is not None:
+            return z
+    return None
+
+
+# Each letter of the even shift as a bit.
+_BIT = {0: "0", 1: "1"}
+
+
 @dataclass
 class CantorChart:
     """Bijection between depth-d digit balls and subshift cylinder classes.
 
-    `leaves[z]` is the leaf of residue z, and `index` maps every leaf word
-    to its residue; `lengths` lists the distinct leaf word lengths, most
-    common first.  `root`, the split tree above the leaves, is built by
-    `tree(leaves)` when first read; no chart operation reads it.
+    A binary word is coded as an integer: a 1 bit, then the word's
+    letters, the first letter highest, so words of different lengths never
+    share a code.  `firsts[z]` is the code of the first word of the leaf of
+    residue z, and `codes` maps the code of every leaf word to its
+    residue; `lengths` lists the distinct leaf word lengths, most common
+    first.  `leaves` (leaf z holds its words as tuples), the tuple-keyed
+    `index` and `root`, the split tree above the leaves built by
+    `tree(leaves)`, are derived when first read; no chart operation reads
+    them, and `decode` reads the leaves.
     """
 
     p: int
     depth: int
     subshift: str
-    leaves: list = field(repr=False)
-    index: dict = field(repr=False)
+    firsts: list = field(repr=False)
+    codes: dict = field(repr=False)
     lengths: tuple = field(repr=False)
     tree: Callable[[list], ChartNode] = field(repr=False, compare=False)
+
+    @cached_property
+    def leaves(self) -> list:
+        words = [[] for _ in self.firsts]
+        for c, z in self.codes.items():
+            words[z].append(c)
+        with _collector_paused():
+            return [ChartNode(tuple(map(_word, sorted(ws))), None,
+                              ws[0].bit_length() - 1) for ws in words]
+
+    @cached_property
+    def index(self) -> dict:
+        return {w: z for z, leaf in enumerate(self.leaves) for w in leaf.words}
 
     @cached_property
     def root(self) -> ChartNode:
@@ -305,24 +398,15 @@ class CantorChart:
             return self.tree(self.leaves)
 
     def encode(self, word: Tuple[int, ...]) -> int:
-        """Chart image of an admissible word (zero-extended as needed).
-
-        Leaves are disjoint cylinder sets and each leaf's words extend its
-        ancestors' blocks, so the word cut or zero-padded to a leaf word
-        length names at most one residue: the word itself is tried first,
-        then every other length, and the first hit is the image.
-        """
-        w = tuple(word)
-        get = self.index.get
-        z = get(w)
-        if z is not None:
-            return z
-        n = len(w)
-        for L in self.lengths:
-            z = get(w[:L] if n >= L else w + (0,) * (L - n))
-            if z is not None:
-                return z
-        raise BadParams(f"word {word} is not admissible for this chart")
+        """Chart image of an admissible word (zero-extended as needed): the
+        residue `_find` gives for the word's code."""
+        bits = list(map(_BIT.get, tuple(word)))
+        n = bits.index(None) if None in bits else len(bits)
+        z = _find(self.codes.get, self.lengths,
+                  int("1" + "".join(bits[:n]), 2), n == len(bits))
+        if z is None:
+            raise BadParams(f"word {word} is not admissible for this chart")
+        return z
 
     def decode(self, z: int) -> Tuple[int, ...]:
         """Canonical word of the ball containing z (zero tail implied)."""
@@ -331,12 +415,14 @@ class CantorChart:
 
 class _DigitChart(CantorChart):
     """The full-shift chart, which is the base-p digit chart: leaf z holds
-    the single word of z's `depth` digits, least significant first.  Encode
-    is digit arithmetic; `leaves`, `index` and `root` are derived when
-    first read."""
+    the single word of z's `depth` digits, least significant first.  Its
+    letters are not bits, so it has no codes (`firsts` and `codes` are
+    None); encode is digit arithmetic, and `leaves`, `index` and `root`
+    are derived when first read."""
 
     def __init__(self, p: int, depth: int):
         self.p, self.depth, self.subshift = p, depth, "full"
+        self.firsts = self.codes = None
         self.lengths = (depth,)
         self.tree = lambda leaves: _link(_digit_levels(p, depth)[0], leaves)
         self._letters = {b: b for b in range(p)}
@@ -345,10 +431,6 @@ class _DigitChart(CantorChart):
     def leaves(self) -> list:
         return [ChartNode((w,), None, self.depth)
                 for w in _digit_levels(self.p, self.depth)[1]]
-
-    @cached_property
-    def index(self) -> dict:
-        return {leaf.words[0]: z for z, leaf in enumerate(self.leaves)}
 
     def encode(self, word: Tuple[int, ...]) -> int:
         """The residue whose digits are the word's first `depth` letters,
@@ -369,8 +451,8 @@ class _DigitChart(CantorChart):
 def build_cantor_chart(subshift: str, p: int, depth: int) -> CantorChart:
     """Split cylinder classes into p groups down to `depth`, indexing each
     leaf by its residue sum(child index * p**level).  The even shift runs
-    the split search once per class shape and makes only the leaves; the
-    full shift's split is base-p digits, computed, not stored."""
+    the split search once per class shape and codes only the leaf words;
+    the full shift's split is base-p digits, computed, not stored."""
     if subshift not in ("even", "full"):
         raise BadParams(f"unknown subshift {subshift!r}")
     if depth < 1:
@@ -379,24 +461,34 @@ def build_cantor_chart(subshift: str, p: int, depth: int) -> CantorChart:
         return _DigitChart(p, depth)
     shapes = {}
     with _collector_paused():
-        leaves = _shape_leaves(p, depth, shapes)
-    index = {w: z for z, leaf in enumerate(leaves) for w in leaf.words}
-    counts = Counter(len(leaf.words[0]) for leaf in leaves)
-    lengths = tuple(L for L, _ in counts.most_common())
+        firsts, codes = _leaf_codes(p, depth, shapes)
+    counts = Counter(map(int.bit_length, firsts))
+    lengths = tuple(L - 1 for L, _ in counts.most_common())
     return CantorChart(
-        p, depth, subshift, leaves, index, lengths,
+        p, depth, subshift, firsts, codes, lengths,
         lambda leaves: _link(_shape_internal(p, depth, shapes), leaves))
 
 
 def transported_shift_table(chart: CantorChart) -> list:
     """s = chart o shift o chart^-1 as a table on depth-digit residues.
+
+    s(z) is the residue of leaf z's first word without its first letter:
+    a mask drops that letter from the code, and `_find` looks the rest up.
     On the digit chart leaf z is z's base-p digits, least significant
     first, so s drops the lowest digit: s(z) = z // p."""
     if isinstance(chart, _DigitChart):
         p = chart.p
         return [z // p for z in range(p ** chart.depth)]
-    encode = chart.encode
-    return [encode(leaf.words[0][1:]) for leaf in chart.leaves]
+    get, lengths = chart.codes.get, chart.lengths
+    table = []
+    for c in chart.firsts:
+        top = 1 << c.bit_length() - 2
+        table.append(_find(get, lengths, c & top - 1 | top))
+    if None in table:
+        z = table.index(None)
+        raise BadParams(f"word {_word(chart.firsts[z])[1:]} is not "
+                        "admissible for this chart")
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import cycle
+from itertools import cycle, islice
 from operator import sub
 from typing import Callable, Optional
 
@@ -123,8 +123,12 @@ def _digit_table(ctx: PrecisionContext, rows: list) -> list:
 
 
 def _lookup(short: list) -> Callable[[int], int]:
-    """x -> short[x mod len(short)], for maps that read only x mod len(short)."""
-    return lambda m, t=short, L=len(short): t[m % L]
+    """x -> short[x mod len(short)], for maps that read only x mod len(short).
+    The function keeps `short` as its attribute, so that a table pass can
+    repeat it instead of calling the function on every residue."""
+    fn = lambda m, t=short, L=len(short): t[m % L]
+    fn.short = short
+    return fn
 
 
 def _inverse_permutation(table: list) -> list:
@@ -427,8 +431,9 @@ def perturb(f: DynamicMap, phi: LipschitzPerturbation) -> DynamicMap:
     """The perturbed map f + phi (pointwise sum in the context ring).
 
     When the context is tabulable, g comes with its table, f's table plus
-    phi's values in one pass; phi's values are streamed from its own table
-    or its function, so no table is left on phi.  A partial f (one that
+    phi's values in one pass; phi's values are streamed from its own table,
+    from the repeated short table of a periodic (`_lookup`) phi, or from
+    its function, so no table is left on phi.  A partial f (one that
     raises WindowViolation somewhere) leaves g pointwise, as above the
     ball budget.
     """
@@ -446,7 +451,9 @@ def perturb(f: DynamicMap, phi: LipschitzPerturbation) -> DynamicMap:
     if M <= f.ctx.ball_budget:
         phi_values = phi.map._table
         if phi_values is None:
-            phi_values = map(phi.map.fn, range(M))
+            short = getattr(phi.map.fn, "short", None)
+            phi_values = (map(phi.map.fn, range(M)) if short is None
+                          else islice(cycle(short), M))
         try:
             g._table = [(a + b) % M for a, b in zip(f.tabulate(), phi_values)]
         except WindowViolation:
@@ -470,6 +477,15 @@ class RightInverseFamily:
 
     members: tuple
     membership: Callable[[int], Optional[int]]
+    _memberships: Optional[list] = field(default=None, repr=False,
+                                         compare=False)
+
+    def membership_table(self, M: int) -> list:
+        """membership(x) for every residue x < M, computed once per family
+        and shared by every caller, which must not change it."""
+        if self._memberships is None or len(self._memberships) != M:
+            self._memberships = [self.membership(x) for x in range(M)]
+        return self._memberships
 
     @property
     def lip_upper(self) -> Fraction:

@@ -1,14 +1,17 @@
 """Command-line interface tests: spec parsing, exit codes, and
 deterministic JSON reports."""
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
 
 import pytest
 
-from padic_dynamics import analysis, cli, counterexample
+from padic_dynamics import analysis, cli
 from padic_dynamics.padic import PAdic, PrecisionContext
+
+from test_counterexample import no_derived_views
 
 
 def run(capsys, argv):
@@ -242,15 +245,27 @@ def test_counterexample_command(capsys):
 
 
 def test_counterexample_command_derives_no_chart_tree(capsys, monkeypatch):
-    def no_tree(internal, leaves):
-        raise AssertionError("a chart tree was derived")
-
+    """Neither chart of `padyn counterexample` derives its tree, leaves or
+    tuple index."""
     argv = ["counterexample", "--p", "3", "--depth", "7", "--delta", "p^-4",
             "--eps", "p^-1"]
     want = run(capsys, argv)
     with monkeypatch.context() as m:
-        m.setattr(counterexample, "_link", no_tree)
+        no_derived_views(m)
         assert run(capsys, argv) == want
+
+
+# SHA-256 of the default `padyn counterexample` stdout, pinned before the
+# even chart's leaf words became integer codes: the report must not move.
+COUNTEREXAMPLE_REPORT_DIGEST = (
+    "020f84c4c0cc54c0cc1ef057b0f412357d00383bb07b38397b441e582f1b81ea")
+
+
+def test_counterexample_report_is_pinned(capsys):
+    assert cli.main(["counterexample"]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == COUNTEREXAMPLE_REPORT_DIGEST
 
 
 def test_suite_quick(capsys):

@@ -208,6 +208,33 @@ def test_thm1_builders_reject_non_covering_family():
             build(f, partial, g, delta, 3)
 
 
+def test_thm1_builders_read_membership_once():
+    """Both thm1 builders on two perturbations share one membership table:
+    membership runs once per residue, and the conjugacies equal those
+    built with a fresh family each time.  A family that misses residues
+    is refused, naming the first one, also once its table is shared."""
+    ctx = PrecisionContext(3, 5)
+    f = builtin_map("shift_zp", ctx)
+    fam = shift_right_inverses(ctx)
+    calls = []
+    counted = RightInverseFamily(
+        fam.members, lambda m: calls.append(m) or fam.membership(m))
+    delta = NormValue(3, 2)
+    for seed in (0, 1):
+        phi = make_lipschitz_perturbation(ctx, "digit_local", delta, seed)
+        g = perturb(f, phi)
+        for build in (build_conjugacy_thm1, build_inverse_conjugacy_thm1):
+            fresh = RightInverseFamily(fam.members, fam.membership)
+            assert build(f, counted, g, delta, 3).table == \
+                build(f, fresh, g, delta, 3).table
+    assert calls == list(range(ctx.modulus))
+    partial = RightInverseFamily(
+        fam.members, lambda m: None if m in (100, 200) else m % 3)
+    for build in (build_conjugacy_thm1, build_inverse_conjugacy_thm1) * 2:
+        with pytest.raises(CoveringViolation, match="residue 100 is not"):
+            build(f, partial, g, delta, 3)
+
+
 def test_thm1_inverse_rejects_colliding_transfer():
     # g == 0 is no small perturbation of the shift: with phi = g - f,
     # id + phi o R_0 sends every residue to 0, so R_0 has no transfer

@@ -215,7 +215,21 @@ def test_transported_shift_table_is_pinned(key):
 
 
 # Reference: the recursive split builder that built every chart before the
-# full shift got its closed form, run here over full-shift extensions.
+# full shift got its closed form, run here over full-shift extensions.  Its
+# chart keeps the tree, leaves, tuple index and lengths that the builder
+# made, and encodes by scanning the index at every leaf length.
+
+class _ReferenceChart:
+    def __init__(self, root, leaves, index, lengths):
+        self.root, self.leaves = root, leaves
+        self.index, self.lengths = index, lengths
+
+    def encode(self, word):
+        return _reference_scan_encode(self, word)
+
+    def decode(self, z):
+        return self.leaves[z % len(self.leaves)].words[0]
+
 
 def _reference_split_chart(p, depth):
     letters = list(range(p))
@@ -250,8 +264,7 @@ def _reference_split_chart(p, depth):
     root = build(extend([()]), 0, 0)
     counts = Counter(len(leaf.words[0]) for leaf in leaves)
     lengths = tuple(L for L, _ in counts.most_common())
-    return CantorChart(p, depth, "full", leaves, index, lengths,
-                       lambda leaves: root)
+    return _ReferenceChart(root, leaves, index, lengths)
 
 
 def _walk(node):
@@ -282,7 +295,8 @@ def test_full_chart_matches_split_builder(p, depth):
     for z in range(-2, M + 2):
         assert chart.decode(z) == ref.decode(z)
     table = transported_shift_table(chart)
-    assert table == transported_shift_table(ref) == [z // p for z in range(M)]
+    assert table == [ref.encode(leaf.words[0][1:]) for leaf in ref.leaves]
+    assert table == [z // p for z in range(M)]
 
     rng = random.Random(100 * p + depth)
     words = [ref.decode(z) for z in range(M)]
@@ -320,14 +334,27 @@ def no_tree(internal, leaves):
     raise AssertionError("a chart tree was derived")
 
 
+def no_derived_views(m):
+    """Make deriving a chart's tree, leaves or tuple index raise, with the
+    monkeypatch context m."""
+    def derived(chart):
+        raise AssertionError("a chart's leaves or tuple index was derived")
+
+    m.setattr(counterexample, "_link", no_tree)
+    for owner, name in ((CantorChart, "leaves"), (CantorChart, "index"),
+                        (counterexample._DigitChart, "leaves")):
+        m.setattr(owner, name, property(derived))
+
+
 @pytest.mark.parametrize("subshift,depth,delta", [("even", 8, 5),
                                                    ("full", 6, 4)])
 def test_demo_derives_no_tree(monkeypatch, subshift, depth, delta):
     """Building a chart and running the demonstration on it derive no
-    tree; the chart derives its pinned tree when `root` is read later."""
+    tree, no leaves and no tuple index; the chart derives its pinned tree
+    when `root` is read later."""
     args = (3, depth, NormValue(3, delta), NormValue(3, 1), subshift)
     with monkeypatch.context() as m:
-        m.setattr(counterexample, "_link", no_tree)
+        no_derived_views(m)
         chart = build_cantor_chart(subshift, 3, depth)
         res = demonstrate_non_shadowing(*args, require_witness=False,
                                         chart=chart)
@@ -370,11 +397,11 @@ def _reference_even_levels(p, depth):
                          + [(7, d) for d in range(1, 5)])
 def test_even_levels_match_reference(p, depth):
     """Splitting each class shape once gives every leaf of the split search
-    run on each class, and the internal node words derived from the same
-    shape table give every internal node's words."""
-    shapes = {}
-    leaves = counterexample._shape_leaves(p, depth, shapes)
-    internal = counterexample._shape_internal(p, depth, shapes)
+    run on each class, once the leaves are derived from the chart's codes,
+    and the internal node words derived from the shape table give every
+    internal node's words."""
+    leaves = build_cantor_chart("even", p, depth).leaves
+    internal = counterexample._shape_internal(p, depth, {})
     assert (internal, leaves) == _reference_even_levels(p, depth)
 
 
@@ -427,6 +454,49 @@ def test_encode_tries_own_length_first(p, depth):
         own += w in chart.index
         errors += isinstance(got, tuple)
     assert 0 < own < len(words) and 0 < errors < len(words)
+
+
+@pytest.mark.parametrize("p,depth", [(3, d) for d in range(1, 9)]
+                         + [(5, d) for d in range(1, 6)]
+                         + [(7, d) for d in range(1, 5)])
+def test_even_shift_table_is_the_encoded_shift(p, depth):
+    """The shift table read from the codes is what it was defined as: each
+    leaf's first word without its first letter, encoded, both by `encode`
+    and by scanning the tuple index at every leaf length."""
+    chart = build_cantor_chart("even", p, depth)
+    shifted = [leaf.words[0][1:] for leaf in chart.leaves]
+    table = transported_shift_table(chart)
+    assert table == [chart.encode(w) for w in shifted]
+    assert table == [_reference_scan_encode(chart, w) for w in shifted]
+
+
+@pytest.mark.parametrize("p,depth", [(3, 4), (3, 6), (5, 3)])
+def test_encode_rejects_bad_letters_and_inadmissible_words(p, depth):
+    """A letter 2, 3 or -1 inside a leaf word, or a run 1 0^odd 1 before
+    the shortest leaf length, raises BadParams with the usual message, as
+    the index scan does: no such word's code aliases a leaf word.  Letters
+    compare as before (True is 1), and letters past a leaf word that the
+    word extends are not read."""
+    chart = build_cantor_chart("even", p, depth)
+    rng = random.Random(p * depth)
+    leaf_words = [leaf.words[0] for leaf in rng.sample(chart.leaves, 40)]
+    bad = [w[:i] + (a,) + w[i + 1:] for w in leaf_words
+           for i in range(len(w)) for a in (2, 3, -1)]
+    short, long = min(chart.lengths), max(chart.lengths)
+    words = [tuple(rng.randrange(2) for _ in range(long + 3))
+             for _ in range(3000)]
+    inadmissible = [w for w in words if has_forbidden_run(w[:short])]
+    assert inadmissible
+    for w in bad + inadmissible:
+        want = ("BadParams", f"word {w} is not admissible for this chart")
+        assert _outcome(chart.encode, w) == want
+        assert _outcome(lambda u: _reference_scan_encode(chart, u), w) == want
+    for w in leaf_words:
+        z = chart.index[w]
+        assert chart.encode([bool(a) for a in w]) == z
+        for tail in ((2,), (0, -1), (3, 1)):
+            assert chart.encode(w + tail) == z
+            assert _reference_scan_encode(chart, w + tail) == z
 
 
 @pytest.mark.parametrize("subshift", ["even", "full"])

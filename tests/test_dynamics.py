@@ -563,6 +563,29 @@ def test_perturb_table_matches_pointwise_sum(ctx):
                 assert phi.map._table is before     # no table left on phi
 
 
+def test_perturb_repeats_a_periodic_phi_table():
+    """A digit_local phi reads only x mod p**(D-k): perturb repeats its
+    short table, never calls phi per residue, gives g the pointwise sum
+    as its table and leaves no table on phi."""
+    ctx = PrecisionContext(3, 6)
+    M = ctx.modulus
+    phi = make_lipschitz_perturbation(ctx, "digit_local", NormValue(3, 2), 5)
+    fn, calls = phi.map.fn, []
+
+    def counted(m):
+        calls.append(m)
+        return fn(m)
+
+    counted.short = fn.short
+    phi.map.fn = counted
+    for f in _catalog_bases(ctx):
+        want = [(f.fn(m) + fn(m)) % M for m in range(M)]
+        g = perturb(f, phi)
+        assert g._table == want and [g.fn(m) for m in range(M)] == want
+    assert len(fn.short) == 3 ** 4 and phi.map._table is None
+    assert len(calls) == 3 * M              # g.fn only, never the pass
+
+
 def test_perturb_above_ball_budget_stays_pointwise():
     ctx = PrecisionContext(3, 6, ball_budget=100)
     M = ctx.modulus
