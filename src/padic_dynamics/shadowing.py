@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, CoveringViolation
+from .errors import BudgetExceeded, CoveringViolation, DeltaTooSmall
 from .dynamics import DynamicMap, RightInverseFamily
 from .padic import NormValue, PrecisionContext, norm_zero, valuation
 
@@ -38,6 +38,8 @@ def random_pseudo_orbit(f: DynamicMap, delta: NormValue, length: int,
     """Seeded pseudo-orbit: x_{n+1} = f(x_n) + e_n with |e_n| <= delta."""
     ctx = f.ctx
     p, M = ctx.prime, ctx.modulus
+    if delta.is_zero:
+        raise DeltaTooSmall("a pseudo-orbit needs a nonzero delta")
     k = delta.exponent - ctx.u_min
     if not 0 <= k <= ctx.total_digits:
         raise BudgetExceeded(f"delta {delta!r} outside context range")

@@ -258,8 +258,8 @@ def _ref_scaling_profile(f):
         if prev is None:
             table[vin] = vout
         elif prev != vout:
-            return list(table.items()), False, True, (x, y)
-    return list(table.items()), True, True, None
+            return list(table.items()), False, (x, y)
+    return list(table.items()), True, None
 
 
 def _ref_check_locally_scaling(f, k, m_exp):
@@ -317,8 +317,7 @@ def _estimate_fields(est):
 
 
 def _profile_fields(prof):
-    return list(prof.table.items()), prof.consistent, prof.exhaustive, \
-        prof.witness
+    return list(prof.table.items()), prof.consistent, prof.witness
 
 
 def _seeded_cases(p, N):

@@ -77,6 +77,14 @@ def test_shadow_oracle_with_no_digits_to_compare_exits_two(capsys):
     assert "compare -2 digits" in rep["message"]
 
 
+def test_shadow_zero_delta_exits_two(capsys):
+    # a pseudo-orbit bound of 0 leaves no error to draw
+    code, rep = run(capsys, ["shadow", "--p", "3", "--digits", "8",
+                             "--delta", "0", "--orbits", "1"])
+    assert code == 2
+    assert rep["error"] == "DeltaTooSmall"
+
+
 def test_shadow_oracle_accepts_tied_best_points(capsys):
     # after one step the orbit pins few digits, so many residues shadow
     # equally well; the solver point must match the oracle's error, not
@@ -135,6 +143,25 @@ def test_conjugate_homogeneity(capsys):
                              "--count", "5"])
     assert code == 0
     assert all(r["matched"] for r in rep["records"])
+
+
+@pytest.mark.parametrize("delta", ["0", "p^-7", "p^-9"])
+def test_conjugate_homogeneity_without_room_to_move_exits_two(capsys, delta):
+    # at 8 digits a delta of p^-7 or below leaves every z equal to its y
+    code, rep = run(capsys, ["conjugate", "--kind", "homogeneity", "--p", "3",
+                             "--digits", "8", "--delta", delta])
+    assert code == 2
+    assert rep["error"] == "DeltaTooSmall"
+
+
+@pytest.mark.parametrize("delta", ["p^2", "p^-6"])
+def test_conjugate_homogeneity_moves_points(capsys, delta):
+    # deltas above 1 admit every z; every accepted delta moves some y
+    code, rep = run(capsys, ["conjugate", "--kind", "homogeneity", "--p", "3",
+                             "--digits", "8", "--delta", delta])
+    assert code == 0 and rep["summary"]["ok"]
+    assert all(r["matched"] for r in rep["records"])
+    assert any(r["closeness"] != "0" for r in rep["records"])
 
 
 def test_analyze_multiple_checks(capsys):
@@ -236,6 +263,15 @@ def test_bad_map_name_exits_two(capsys):
     assert rep["error"] == "UnknownMap"
 
 
+@pytest.mark.parametrize("window", ["1", "a:b", "1:2:3"])
+def test_bad_window_exits_two(capsys, window):
+    code, rep = run(capsys, ["analyze", "--p", "3", "--digits", "4",
+                             "--map", "shift_qp", "--window", window])
+    assert code == 2
+    assert rep["error"] == "PadicDynamicsError"
+    assert "--window" in rep["message"]
+
+
 def test_counterexample_command(capsys):
     code, rep = run(capsys, ["counterexample", "--p", "3", "--depth", "7",
                              "--delta", "p^-4", "--eps", "p^-1"])
@@ -245,8 +281,8 @@ def test_counterexample_command(capsys):
 
 
 def test_counterexample_command_derives_no_chart_tree(capsys, monkeypatch):
-    """Neither chart of `padyn counterexample` derives its tree, leaves or
-    tuple index."""
+    """Neither chart of `padyn counterexample` derives its leaves or its
+    tree."""
     argv = ["counterexample", "--p", "3", "--depth", "7", "--delta", "p^-4",
             "--eps", "p^-1"]
     want = run(capsys, argv)

@@ -65,9 +65,12 @@ def test_chart_leaves_are_admissible():
 
 
 def test_chart_tree_splits_are_partitions():
-    """Every internal node splits its word class into p nonempty blocks
-    that partition it; a child's block is its words cut to child_len."""
+    """Every internal node of the split tree splits its word class into p
+    nonempty blocks that partition it; a child's block is its words cut
+    to child_len.  The tree's leaves are the chart's."""
     chart = build_cantor_chart("even", 3, 5)
+    root, leaves = _reference_tree("even", 3, 5)
+    assert leaves == chart.leaves
 
     def walk(node):
         if node.children is None:
@@ -81,15 +84,53 @@ def test_chart_tree_splits_are_partitions():
             walk(child)
         assert union == set(map(tuple, node.words))
 
-    walk(chart.root)
+    walk(root)
+
+
+# Reference: the split tree that every chart build made before the chart
+# kept only its leaves.  An internal node holds its class's words, split
+# at word length child_len into its children's blocks; node r of a level
+# has its children at stride len(level) in the level below, so the leaves
+# sit in residue order.
+
+@dataclasses.dataclass
+class _SplitNode:
+    words: tuple
+    children: tuple
+    child_len: int
+
+
+def _link(internal, leaves):
+    """Root of the split tree over `leaves` whose internal node words are
+    `internal`, one list per level."""
+    below = leaves
+    for works in reversed(internal):
+        n = len(works)
+        below = [_SplitNode(w, tuple(below[r::n]), len(w[0]))
+                 for r, w in enumerate(works)]
+    return below[0]
+
+
+def _reference_tree(subshift, p, depth):
+    """The split tree of the reference builders and its leaves."""
+    if subshift == "full":
+        ref = _reference_split_chart(p, depth)
+        return ref.root, ref.leaves
+    internal, leaves = _reference_even_levels(p, depth)
+    return _link(internal, leaves), leaves
+
+
+def _index(leaves):
+    """Every leaf word mapped to its leaf's residue."""
+    return {w: z for z, leaf in enumerate(leaves) for w in leaf.words}
 
 
 # Reference: the level-by-level walk that encode and decode replaced.  At
 # each level the word, cut or zero-padded to the children's word length,
 # must lie in exactly one child's block.
 
-def _reference_blocks(chart):
-    blocks, stack = {}, [chart.root]
+def _reference_blocks(root):
+    blocks, stack = {}, [root]
     while stack:
         node = stack.pop()
         if node.children is not None:
@@ -100,8 +141,8 @@ def _reference_blocks(chart):
     return blocks
 
 
-def reference_encode(chart, blocks, word):
-    node, out, pw = chart.root, 0, 1
+def reference_encode(chart, root, blocks, word):
+    node, out, pw = root, 0, 1
     for _ in range(chart.depth):
         L = node.child_len
         target = tuple(word[:L]) + (0,) * max(0, L - len(word))
@@ -116,8 +157,8 @@ def reference_encode(chart, blocks, word):
     return out
 
 
-def reference_decode(chart, z):
-    node = chart.root
+def reference_decode(chart, root, z):
+    node = root
     for _ in range(chart.depth):
         z, d = z // chart.p, z % chart.p
         node = node.children[d]
@@ -136,19 +177,24 @@ def _outcome(encode, word):
 @pytest.mark.parametrize("subshift", ["even", "full"])
 def test_indexed_chart_matches_reference_walk(subshift, p, depth):
     """Tables, decode and encode (results and errors) are bit-identical
-    to the level-by-level walk."""
+    to the level-by-level walk down the split tree, whose leaves are the
+    chart's."""
     chart = build_cantor_chart(subshift, p, depth)
-    blocks = _reference_blocks(chart)
+    root, leaves = _reference_tree(subshift, p, depth)
+    assert leaves == chart.leaves
+    blocks = _reference_blocks(root)
     M = p ** depth
     for z in range(-2, M + 2):
-        assert chart.decode(z) == reference_decode(chart, z)
+        assert chart.decode(z) == reference_decode(chart, root, z)
     assert transported_shift_table(chart) == [
-        reference_encode(chart, blocks, reference_decode(chart, z)[1:])
+        reference_encode(chart, root, blocks,
+                         reference_decode(chart, root, z)[1:])
         for z in range(M)]
 
     rng = random.Random(1000 * p + depth)
     letters = 2 if subshift == "even" else p
-    words = [reference_decode(chart, rng.randrange(M)) for _ in range(300)]
+    words = [reference_decode(chart, root, rng.randrange(M))
+             for _ in range(300)]
     words += [w[:rng.randrange(len(w) + 1)] for w in words[:200]]
     words += [w + tuple(rng.randrange(letters) for _ in range(rng.randrange(6)))
               for w in words[:200]]
@@ -158,9 +204,47 @@ def test_indexed_chart_matches_reference_walk(subshift, p, depth):
     errors = 0
     for w in words:
         got = _outcome(chart.encode, w)
-        assert got == _outcome(lambda u: reference_encode(chart, blocks, u), w)
+        assert got == _outcome(
+            lambda u: reference_encode(chart, root, blocks, u), w)
         errors += isinstance(got, tuple)
     assert 0 < errors < len(words)
+
+
+def _residue_leaves(root, p, depth):
+    """The nodes reached from the root by each residue's base-p digits,
+    least significant first, in residue order."""
+    out = []
+    for z in range(p ** depth):
+        node = root
+        for _ in range(depth):
+            z, d = divmod(z, p)
+            node = node.children[d]
+        out.append(node)
+    return out
+
+
+@pytest.mark.parametrize("p,depth", [(2, d) for d in (1, 2, 5, 9)]
+                         + [(3, d) for d in (1, 2, 4, 7)]
+                         + [(5, d) for d in (1, 2, 4)])
+@pytest.mark.parametrize("subshift", ["even", "full"])
+def test_root_is_the_residue_tree(subshift, p, depth):
+    """`root` has (p^(depth+1) - 1)/(p - 1) nodes, p children at every
+    internal node, which holds no words, and its leaves, reached by
+    child digits, are the chart's leaves in residue order."""
+    chart = build_cantor_chart(subshift, p, depth)
+    count, stack = 0, [(chart.root, 0)]
+    while stack:
+        node, level = stack.pop()
+        count += 1
+        if level < depth:
+            assert node.words == () and len(node.children) == p
+            stack.extend((c, level + 1) for c in node.children)
+        else:
+            assert node.children is None
+    assert count == (p ** (depth + 1) - 1) // (p - 1)
+    leaves = _residue_leaves(chart.root, p, depth)
+    assert all(a is b for a, b in zip(leaves, chart.leaves))
+    assert len(leaves) == len(chart.leaves)
 
 
 def test_chart_depth_must_be_positive():
@@ -225,7 +309,7 @@ class _ReferenceChart:
         self.index, self.lengths = index, lengths
 
     def encode(self, word):
-        return _reference_scan_encode(self, word)
+        return _reference_scan_encode(self.index, self.lengths, word)
 
     def decode(self, z):
         return self.leaves[z % len(self.leaves)].words[0]
@@ -241,7 +325,7 @@ def _reference_split_chart(p, depth):
 
     def build(words, level, residue):
         if level == depth:
-            node = ChartNode(tuple(words), None, len(words[0]))
+            node = ChartNode(tuple(words), None)
             leaves[residue] = node
             for w in words:
                 index[w] = residue
@@ -259,7 +343,7 @@ def _reference_split_chart(p, depth):
             raise ChartExhausted("reference split exhausted")
         children = tuple(build(b, level + 1, residue + i * p ** level)
                          for i, b in enumerate(blocks))
-        return ChartNode(tuple(work), children, len(work[0]))
+        return _SplitNode(tuple(work), children, len(work[0]))
 
     root = build(extend([()]), 0, 0)
     counts = Counter(len(leaf.words[0]) for leaf in leaves)
@@ -268,13 +352,15 @@ def _reference_split_chart(p, depth):
 
 
 def _walk(node):
-    """Preorder (words, child_len, child count) of every node."""
+    """Preorder (words, child_len, child count) of every node of a split
+    tree; a leaf's child_len is its word length."""
     out, stack = [], [node]
     while stack:
         n = stack.pop()
-        out.append((n.words, n.child_len,
-                    None if n.children is None else len(n.children)))
-        if n.children is not None:
+        if n.children is None:
+            out.append((n.words, len(n.words[0]), None))
+        else:
+            out.append((n.words, n.child_len, len(n.children)))
             stack.extend(reversed(n.children))
     return out
 
@@ -284,14 +370,15 @@ def _walk(node):
                          + [(5, d) for d in range(1, 6)])
 def test_full_chart_matches_split_builder(p, depth):
     """The closed-form full-shift chart is the one the split search
-    finds: the same tree, leaves, index, lengths, decode, encode and
-    transported shift, which drops the lowest digit."""
+    finds: the same leaves in the same residue tree, index, lengths,
+    decode, encode and transported shift, which drops the lowest digit."""
     chart = build_cantor_chart("full", p, depth)
     ref = _reference_split_chart(p, depth)
     M = p ** depth
-    assert _walk(chart.root) == _walk(ref.root)
     assert chart.leaves == ref.leaves
-    assert chart.index == ref.index and chart.lengths == ref.lengths
+    assert _residue_leaves(chart.root, p, depth) == \
+        _residue_leaves(ref.root, p, depth)
+    assert _index(chart.leaves) == ref.index and chart.lengths == ref.lengths
     for z in range(-2, M + 2):
         assert chart.decode(z) == ref.decode(z)
     table = transported_shift_table(chart)
@@ -307,9 +394,10 @@ def test_full_chart_matches_split_builder(p, depth):
         assert _outcome(chart.encode, w) == _outcome(ref.encode, w)
 
 
-# SHA-256 of repr(_walk(chart.root)), pinned before the full-shift chart got
-# its closed form and the even-shift builder became level-order: the
-# trees must not move.
+# SHA-256 of repr(_walk(split tree)), pinned on the charts' own trees
+# before the full-shift chart got its closed form and the even-shift
+# builder became level-order: the reference split trees, whose leaves
+# are the charts', must not move.
 TREE_DIGESTS = {
     ("full", 3, 6):
         "fdf71f0a6c8e54fc4ce41f46f41fc4df4d9ff62c8bac74bbb206447b2875f192",
@@ -323,35 +411,34 @@ TREE_DIGESTS = {
 }
 
 
+def _tree_digest(root):
+    return hashlib.sha256(repr(_walk(root)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("key", sorted(TREE_DIGESTS))
 def test_chart_tree_is_pinned(key):
-    tree = _walk(build_cantor_chart(*key).root)
-    digest = hashlib.sha256(repr(tree).encode()).hexdigest()
-    assert digest == TREE_DIGESTS[key]
-
-
-def no_tree(internal, leaves):
-    raise AssertionError("a chart tree was derived")
+    root, leaves = _reference_tree(*key)
+    assert leaves == build_cantor_chart(*key).leaves
+    assert _tree_digest(root) == TREE_DIGESTS[key]
 
 
 def no_derived_views(m):
-    """Make deriving a chart's tree, leaves or tuple index raise, with the
-    monkeypatch context m."""
-    def derived(chart):
-        raise AssertionError("a chart's leaves or tuple index was derived")
+    """Make deriving a chart's leaves or tree raise, with the monkeypatch
+    context m."""
+    def derived(*args):
+        raise AssertionError("a chart's leaves or tree was derived")
 
-    m.setattr(counterexample, "_link", no_tree)
-    for owner, name in ((CantorChart, "leaves"), (CantorChart, "index"),
-                        (counterexample._DigitChart, "leaves")):
-        m.setattr(owner, name, property(derived))
+    m.setattr(counterexample, "_link", derived)
+    for owner in (CantorChart, counterexample._DigitChart):
+        m.setattr(owner, "leaves", property(derived))
 
 
 @pytest.mark.parametrize("subshift,depth,delta", [("even", 8, 5),
                                                    ("full", 6, 4)])
 def test_demo_derives_no_tree(monkeypatch, subshift, depth, delta):
     """Building a chart and running the demonstration on it derive no
-    tree, no leaves and no tuple index; the chart derives its pinned tree
-    when `root` is read later."""
+    leaves and no tree; the chart derives the pinned split tree's leaves,
+    in residue order, when `root` is read later."""
     args = (3, depth, NormValue(3, delta), NormValue(3, 1), subshift)
     with monkeypatch.context() as m:
         no_derived_views(m)
@@ -359,12 +446,14 @@ def test_demo_derives_no_tree(monkeypatch, subshift, depth, delta):
         res = demonstrate_non_shadowing(*args, require_witness=False,
                                         chart=chart)
     assert res == demonstrate_non_shadowing(*args, require_witness=False)
-    digest = hashlib.sha256(repr(_walk(chart.root)).encode()).hexdigest()
-    assert digest == TREE_DIGESTS[(subshift, 3, depth)]
+    root, leaves = _reference_tree(subshift, 3, depth)
+    assert _tree_digest(root) == TREE_DIGESTS[(subshift, 3, depth)]
+    assert _residue_leaves(chart.root, 3, depth) == leaves
 
 
 # Reference: the even-shift builder before it split each class shape
-# once; it runs the split search on every class.
+# once; it runs the split search on every class and returns the words of
+# every internal node, one list per level, and the leaves.
 
 def _reference_even_levels(p, depth):
     level = [counterexample._extend_words([()])]
@@ -388,7 +477,7 @@ def _reference_even_levels(p, depth):
             nxt[r::n] = [tuple(b) for b in blocks]
         internal.append(works)
         level = nxt
-    return internal, [ChartNode(ws, None, len(ws[0])) for ws in level]
+    return internal, [ChartNode(ws, None) for ws in level]
 
 
 @pytest.mark.parametrize("p,depth", [(2, d) for d in range(1, 13)]
@@ -397,12 +486,10 @@ def _reference_even_levels(p, depth):
                          + [(7, d) for d in range(1, 5)])
 def test_even_levels_match_reference(p, depth):
     """Splitting each class shape once gives every leaf of the split search
-    run on each class, once the leaves are derived from the chart's codes,
-    and the internal node words derived from the shape table give every
-    internal node's words."""
+    run on each class, once the leaves are derived from the chart's
+    codes."""
     leaves = build_cantor_chart("even", p, depth).leaves
-    internal = counterexample._shape_internal(p, depth, {})
-    assert (internal, leaves) == _reference_even_levels(p, depth)
+    assert leaves == _reference_even_levels(p, depth)[1]
 
 
 def test_even_chart_splits_each_shape_once(monkeypatch):
@@ -420,13 +507,14 @@ def test_even_chart_splits_each_shape_once(monkeypatch):
     assert 0 < len(calls) <= 50
 
 
-# Reference: encode before it tried the word's own length first.
+# Reference: encode before it tried the word's own length first; it
+# scans a tuple index of the leaf words at every leaf length in order.
 
-def _reference_scan_encode(chart, word):
+def _reference_scan_encode(index, lengths, word):
     w = tuple(word)
     n = len(w)
-    for L in chart.lengths:
-        z = chart.index.get(w[:L] if n >= L else w + (0,) * (L - n))
+    for L in lengths:
+        z = index.get(w[:L] if n >= L else w + (0,) * (L - n))
         if z is not None:
             return z
     raise BadParams(f"word {word} is not admissible for this chart")
@@ -438,6 +526,7 @@ def test_encode_tries_own_length_first(p, depth):
     first returns what scanning every length in order returns, errors
     included."""
     chart = build_cantor_chart("even", p, depth)
+    index = _index(chart.leaves)
     shifts = [w[1:] for leaf in chart.leaves for w in leaf.words]
     words = shifts + [w[:i] for w in shifts for i in range(len(w))]
     rng = random.Random(10 * p + depth)
@@ -447,11 +536,12 @@ def test_encode_tries_own_length_first(p, depth):
     for w in words:
         hits = [L for L in chart.lengths
                 if (w[:L] if len(w) >= L else w + (0,) * (L - len(w)))
-                in chart.index]
+                in index]
         assert len(hits) <= 1
         got = _outcome(chart.encode, w)
-        assert got == _outcome(lambda u: _reference_scan_encode(chart, u), w)
-        own += w in chart.index
+        assert got == _outcome(
+            lambda u: _reference_scan_encode(index, chart.lengths, u), w)
+        own += w in index
         errors += isinstance(got, tuple)
     assert 0 < own < len(words) and 0 < errors < len(words)
 
@@ -462,12 +552,14 @@ def test_encode_tries_own_length_first(p, depth):
 def test_even_shift_table_is_the_encoded_shift(p, depth):
     """The shift table read from the codes is what it was defined as: each
     leaf's first word without its first letter, encoded, both by `encode`
-    and by scanning the tuple index at every leaf length."""
+    and by scanning a tuple index at every leaf length."""
     chart = build_cantor_chart("even", p, depth)
+    index = _index(chart.leaves)
     shifted = [leaf.words[0][1:] for leaf in chart.leaves]
     table = transported_shift_table(chart)
     assert table == [chart.encode(w) for w in shifted]
-    assert table == [_reference_scan_encode(chart, w) for w in shifted]
+    assert table == [_reference_scan_encode(index, chart.lengths, w)
+                     for w in shifted]
 
 
 @pytest.mark.parametrize("p,depth", [(3, 4), (3, 6), (5, 3)])
@@ -478,6 +570,11 @@ def test_encode_rejects_bad_letters_and_inadmissible_words(p, depth):
     compare as before (True is 1), and letters past a leaf word that the
     word extends are not read."""
     chart = build_cantor_chart("even", p, depth)
+    index = _index(chart.leaves)
+
+    def scan(w):
+        return _reference_scan_encode(index, chart.lengths, w)
+
     rng = random.Random(p * depth)
     leaf_words = [leaf.words[0] for leaf in rng.sample(chart.leaves, 40)]
     bad = [w[:i] + (a,) + w[i + 1:] for w in leaf_words
@@ -490,19 +587,19 @@ def test_encode_rejects_bad_letters_and_inadmissible_words(p, depth):
     for w in bad + inadmissible:
         want = ("BadParams", f"word {w} is not admissible for this chart")
         assert _outcome(chart.encode, w) == want
-        assert _outcome(lambda u: _reference_scan_encode(chart, u), w) == want
+        assert _outcome(scan, w) == want
     for w in leaf_words:
-        z = chart.index[w]
+        z = index[w]
         assert chart.encode([bool(a) for a in w]) == z
         for tail in ((2,), (0, -1), (3, 1)):
             assert chart.encode(w + tail) == z
-            assert _reference_scan_encode(chart, w + tail) == z
+            assert scan(w + tail) == z
 
 
 @pytest.mark.parametrize("subshift", ["even", "full"])
 def test_chart_fields_and_equality(subshift):
     """Every declared field is set on both kinds of chart, and charts
-    compare by their data, not by identity or by their tree builder."""
+    compare by their data, not by identity."""
     chart = build_cantor_chart(subshift, 3, 4)
     for f in dataclasses.fields(chart):
         getattr(chart, f.name)
@@ -530,29 +627,13 @@ def test_dropped_chart_leaves_no_cyclic_garbage(subshift):
             gc.enable()
 
 
-def test_builder_leaves_collector_state_as_found(monkeypatch):
-    enabled = gc.isenabled()
-    try:
-        for state in (True, False):
-            (gc.enable if state else gc.disable)()
-            for subshift in ("even", "full"):
-                chart = build_cantor_chart(subshift, 3, 3)
-                assert gc.isenabled() is state
-                chart.root
-                assert gc.isenabled() is state
-            with pytest.raises(BadParams):
-                build_cantor_chart("even", 3, 0)
-            assert gc.isenabled() is state
-            def never(words, pos, k):
-                raise _NeedMore
+def test_chart_exhausted_names_the_shape(monkeypatch):
+    def never(words, pos, k):
+        raise _NeedMore
 
-            with monkeypatch.context() as m:
-                m.setattr(counterexample, "_split_aligned", never)
-                with pytest.raises(ChartExhausted, match=r"shape \(0, 1\)"):
-                    build_cantor_chart("even", 3, 3)
-            assert gc.isenabled() is state
-    finally:
-        (gc.enable if enabled else gc.disable)()
+    monkeypatch.setattr(counterexample, "_split_aligned", never)
+    with pytest.raises(ChartExhausted, match=r"shape \(0, 1\)"):
+        build_cantor_chart("even", 3, 3)
 
 
 def test_transported_shift_conjugates_word_shift():

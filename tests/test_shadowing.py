@@ -20,7 +20,11 @@ from padic_dynamics.dynamics import (
     perturb,
     shift_right_inverses,
 )
-from padic_dynamics.errors import BudgetExceeded, CoveringViolation
+from padic_dynamics.errors import (
+    BudgetExceeded,
+    CoveringViolation,
+    DeltaTooSmall,
+)
 from padic_dynamics.padic import (
     NormValue,
     PrecisionContext,
@@ -52,6 +56,8 @@ def test_pseudo_orbit_delta_out_of_range():
     f = builtin_map("shift_zp", ctx)
     with pytest.raises(BudgetExceeded):
         random_pseudo_orbit(f, NormValue(3, 7), 5, 0)
+    with pytest.raises(DeltaTooSmall):
+        random_pseudo_orbit(f, norm_zero(3), 5, 0)
 
 
 def test_solver_backward_recursion_is_exact():
