@@ -429,7 +429,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--digits", type=int, default=8,
                         help="digit budget per value")
         sp.add_argument("--window", default=None,
-                        help="field-mode exponent window, e.g. '-2:2'")
+                        help="field-mode exponent window lo:hi, e.g. "
+                             "--window=-2:2 (with '=', since a value that "
+                             "starts with '-' is read as an option)")
         sp.add_argument("--out", default=None, help="also write JSON here")
 
     sp = sub.add_parser("shadow", help="solve shadowing for pseudo-orbits")

@@ -8,8 +8,9 @@ Three constructions, all table-based at the context resolution:
   whole-table passes S_0 = id, S_k[x] = R_{i(x)}[S_{k-1}[g[x]]] with
   i(x) the member covering x, and h = S_depth.  Its inverse runs the same
   passes along f with the right inverses transferred from f to
-  g = f + phi by transfer_family, the only transfer: each table
-  H_i = id + phi o R_i is inverted once and R-tilde_i = R_i[H_i^-1];
+  g = f + phi by transfer_family, the only transfer: R-tilde_i o H_i = R_i
+  for H_i = id + phi o R_i, so one scatter writes each value R_i(x) at
+  H_i(x), and a residue left unwritten means H_i is not injective;
 * contraction conjugacy for a bi-Lipschitz contraction R and its
   perturbation T: the space splits into layers T^n(U) of the complement
   U of T's image plus a residual core, each layer point recorded with its
@@ -84,11 +85,13 @@ def _closeness(ctx: PrecisionContext, table: list) -> NormValue:
 # ---------------------------------------------------------------------------
 
 def _transferred(R: DynamicMap, phi: list, delta: NormValue) -> DynamicMap:
-    """R-tilde = R o H^-1 for H = id + phi o R, by one inversion of H's table.
+    """R-tilde = R o H^-1 for H = id + phi o R, by one scatter of R's values.
 
-    shrink = delta * Lip(R) < 1 is the contraction rate of inverting H, and
-    Lip(R-tilde) <= Lip(R) / (1 - shrink).  Kept apart from the member loop
-    so that each inverse table is freed before the next is built.
+    R-tilde(H(x)) = R(x), so each value r = R(x) is written at
+    H(x) = x + phi(r); a residue left unwritten means H is not injective.
+    The transferred table holds R's own value objects.  shrink =
+    delta * Lip(R) < 1 is the contraction rate of inverting H, and
+    Lip(R-tilde) <= Lip(R) / (1 - shrink).
     """
     if R.lip_upper is None:
         raise BadParams("transfer needs a declared Lipschitz bound for R")
@@ -97,14 +100,13 @@ def _transferred(R: DynamicMap, phi: list, delta: NormValue) -> DynamicMap:
         raise DeltaTooLarge(f"delta * Lip(R) = {shrink} >= 1")
     table = R.tabulate()
     M = len(table)
-    inv = [None] * M
+    out = [None] * M
     for x, r in enumerate(table):
-        inv[(x + phi[r]) % M] = x
-    if None in inv:
+        out[(x + phi[r]) % M] = r
+    if None in out:
         raise NotInjective(
             f"id + phi o {R.name} is not injective: delta * Lip(R) < 1 "
             "fails for the supplied maps")
-    out = [table[x] for x in inv]
     return DynamicMap(f"transfer[{R.name}]", R.ctx, out.__getitem__,
                       R.precision_loss, R.lip_upper / (1 - shrink), None,
                       {"base": R, "delta": delta}, out)
@@ -179,7 +181,7 @@ def build_inverse_conjugacy_thm1(f: DynamicMap, family: RightInverseFamily,
     """h-tilde with g o h-tilde = h-tilde o f; inverse of the map above.
 
     Tabulates phi = g - f, transfers the family to g with transfer_family
-    (one inversion of id + phi o R_i per member; a collision raises
+    (one scatter of R_i's values per member; a collision raises
     NotInjective) and runs the mirror recursion along f-orbits with the
     original membership, since the transferred images coincide.
     """

@@ -55,13 +55,44 @@ class DynamicMap:
         return self.ctx.from_int(self(self.ctx.to_int(x)))
 
     def tabulate(self) -> list:
-        """Precompute the full residue table (small contexts only)."""
+        """Precompute the full residue table (small contexts only).
+
+        A periodic (`_lookup`) map repeats its short table and keeps those
+        objects.  Any other map's values must lie in [0, modulus)
+        (BadParams otherwise) and are taken from ctx.residues, so that the
+        tables of one context share one set of int objects.
+        """
         if self._table is None:
-            if self.ctx.modulus > self.ctx.ball_budget:
+            ctx = self.ctx
+            M = ctx.modulus
+            if M > ctx.ball_budget:
                 raise BudgetExceeded("context too large to tabulate")
-            fn = self.fn
-            self._table = [fn(m) for m in range(self.ctx.modulus)]
+            values, periodic = _residue_values(self)
+            if periodic:
+                self._table = list(values)
+            else:
+                res = ctx.residues
+                try:
+                    # a negative v reads res[M], so it fails as v >= M does
+                    self._table = [res[v] if v >= 0 else res[M]
+                                   for v in values]
+                except IndexError:
+                    raise BadParams(f"{self.name} takes a value outside "
+                                    f"[0, {M})") from None
         return self._table
+
+
+def _residue_values(mp: DynamicMap) -> tuple:
+    """(values, periodic): mp's values on the residues 0, 1, ..., M - 1 in
+    order, read from its own table, from the repeated short table of a
+    periodic (`_lookup`) map (periodic true), or from its function."""
+    M = mp.ctx.modulus
+    if mp._table is not None:
+        return mp._table, False
+    short = getattr(mp.fn, "short", None)
+    if short is not None:
+        return islice(cycle(short), M), True
+    return map(mp.fn, range(M)), False
 
 
 def identity_map(ctx: PrecisionContext) -> DynamicMap:
@@ -449,11 +480,7 @@ def perturb(f: DynamicMap, phi: LipschitzPerturbation) -> DynamicMap:
         max(f.precision_loss, phi.map.precision_loss), lip, None,
         {"base": f, "phi": phi})
     if M <= f.ctx.ball_budget:
-        phi_values = phi.map._table
-        if phi_values is None:
-            short = getattr(phi.map.fn, "short", None)
-            phi_values = (map(phi.map.fn, range(M)) if short is None
-                          else islice(cycle(short), M))
+        phi_values, _ = _residue_values(phi.map)
         try:
             g._table = [(a + b) % M for a, b in zip(f.tabulate(), phi_values)]
         except WindowViolation:

@@ -17,6 +17,7 @@ integer exponents (see NormValue) and converted to Fraction on demand.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -171,6 +172,15 @@ class PrecisionContext:
     @property
     def modulus(self) -> int:
         return self.prime ** self.total_digits
+
+    @functools.cached_property
+    def residues(self) -> list:
+        """list(range(modulus)), one int object per residue, built once.
+
+        Every non-periodic map table of this context takes its values from
+        here, so the tables a table pass reads share one block of ints.
+        """
+        return list(range(self.modulus))
 
     @property
     def resolution_exp(self) -> int:

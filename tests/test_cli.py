@@ -1,6 +1,7 @@
 """Command-line interface tests: spec parsing, exit codes, and
 deterministic JSON reports."""
 
+import argparse
 import hashlib
 import json
 import shlex
@@ -270,6 +271,26 @@ def test_bad_window_exits_two(capsys, window):
     assert code == 2
     assert rep["error"] == "PadicDynamicsError"
     assert "--window" in rep["message"]
+
+
+def test_documented_window_form_reaches_the_command(capsys):
+    """The --window example in the help text parses and runs: a field-mode
+    report with the window's digits.  The spaced form of a negative low
+    end is read by argparse as an option and never reaches the command."""
+    ap = cli._build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices["analyze"]._actions
+                  if "--window" in a.option_strings)
+    example = action.help.split("e.g. ")[1].split()[0]
+    assert example == "--window=-2:2"
+    argv = ["analyze", "--p", "3", "--digits", "4", "--map",
+            "rho_open_Ra(a=1)"]
+    code, rep = run(capsys, argv + [example])
+    assert code == 0 and rep["command"] == "analyze"
+    assert rep["config"]["digits"] == 4 + 4
+    assert cli.main(argv + ["--window", "-2:2"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_counterexample_command(capsys):

@@ -348,6 +348,21 @@ def test_table_transfer_matches_pointwise_reference(p, N, k):
                 assert Rt.lip_upper == Rr.lip_upper
 
 
+@pytest.mark.parametrize("p, N, k", [(3, 6, 0), (5, 4, 0), (2, 10, 1),
+                                     (3, 6, 1)])
+def test_transferred_tables_hold_the_members_values(p, N, k):
+    """Each transferred table is a rearrangement of its member's table
+    objects, with no new int made (M > 256, so that the interpreter's
+    small-int cache cannot hide a new one)."""
+    f, fam = _thm1_case(p, N, k)
+    delta = NormValue(p, 1)
+    phi = make_lipschitz_perturbation(f.ctx, "digit_local", delta, 0)
+    tfam = transfer_family(fam, phi.map.tabulate(), delta)
+    for R, Rt in zip(fam.members, tfam.members, strict=True):
+        own = {id(v) for v in R.tabulate()}
+        assert all(id(v) in own for v in Rt.tabulate())
+
+
 # ---------------------------------------------------------------------------
 # contraction conjugacy
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ perturbation bound scans and right-inverse composition identities."""
 
 import random
 from fractions import Fraction
+from itertools import cycle
 
 import pytest
 
@@ -610,3 +611,64 @@ def test_perturb_of_partial_map_stays_pointwise():
     assert g(3) == (1 + 9) % ctx.modulus
     with pytest.raises(WindowViolation):
         g(1)
+
+
+# ---------------------------------------------------------------------------
+# tabulate: periodic tables and the context's shared residues
+# ---------------------------------------------------------------------------
+
+def _non_periodic_maps():
+    """Catalog maps that are not periodic lookups, at M = 729 residues,
+    so that most values lie above the interpreter's small-int cache."""
+    ctx = PrecisionContext(3, 6)
+    w = bijective_isometry(ctx, "triangular", seed=2)
+    affine = builtin_map("affine", ctx, v=3, w=1)
+    scaled = builtin_map("scaled_isometry", ctx, m=2, iso="alphabet", seed=9)
+    const = make_lipschitz_perturbation(ctx, "constant", NormValue(3, 2), c=9)
+    return [
+        identity_map(ctx), builtin_map("shift_zp", ctx), affine,
+        builtin_map("example2_R", ctx), builtin_map("example2_L", ctx),
+        builtin_map("example2_phi_n", ctx, n=1),
+        compose(builtin_map("shift_zp", ctx), affine),
+        *shift_right_inverses(ctx).members,
+        *locally_scaling_inverses(w, 1).members, furno_compose(w, 1),
+        left_inverse_for(affine), left_inverse_for(scaled), const.map,
+        builtin_map("rho_open_Ra", PrecisionContext(3, 4, -1, 1, "Qp"), a=1),
+    ]
+
+
+def test_non_periodic_tables_share_the_context_residues():
+    for mp in _non_periodic_maps():
+        assert not hasattr(mp.fn, "short")
+        residues = mp.ctx.residues
+        table = mp.tabulate()
+        assert table == [mp.fn(m) for m in range(mp.ctx.modulus)]
+        assert all(v is residues[v] for v in table), mp.name
+
+
+def test_periodic_tables_repeat_their_short_table():
+    """A periodic (`_lookup`) map's table is its pointwise table, made of
+    its short table's own objects."""
+    ctx = PrecisionContext(3, 6)
+    delta = NormValue(3, 2)
+    maps = [*(bijective_isometry(ctx, kind, seed=3) for kind in ISO_KINDS),
+            builtin_map("scaled_isometry", ctx, m=2, iso="triangular", seed=4),
+            builtin_map("scaled_isometry", ctx, m=1, iso="alphabet", seed=9,
+                        c=2),
+            make_lipschitz_perturbation(ctx, "digit_local", delta, 7).map]
+    for mp in maps:
+        short = mp.fn.short
+        table = mp.tabulate()
+        assert table == [mp.fn(m) for m in range(ctx.modulus)]
+        assert all(v is s for v, s in zip(table, cycle(short))), mp.name
+    assert any(len(mp.fn.short) < ctx.modulus for mp in maps)
+
+
+@pytest.mark.parametrize("offset", [-1, 0], ids=["-1", "M"])
+def test_tabulate_rejects_values_outside_the_residues(offset):
+    ctx = PrecisionContext(3, 4)
+    bad = ctx.modulus if offset == 0 else offset
+    mp = DynamicMap("bad", ctx, lambda m: bad if m == 40 else m)
+    with pytest.raises(BadParams, match=r"outside \[0, 81\)"):
+        mp.tabulate()
+    assert mp._table is None

@@ -142,6 +142,17 @@ def test_total_digits_and_modulus():
     assert ctx.resolution_exp == -2 + 8
 
 
+def test_context_residues_are_built_once():
+    """residues is range(modulus) as one list, built on first read and
+    kept; reading it changes neither equality nor hash."""
+    ctx = PrecisionContext(3, 5, -2, 1, "Qp")
+    fresh = PrecisionContext(3, 5, -2, 1, "Qp")
+    assert ctx.residues == list(range(3 ** 8))
+    assert ctx.residues is ctx.residues
+    assert ctx == fresh and hash(ctx) == hash(fresh)
+    assert ctx.residues is not fresh.residues
+
+
 def test_digit_roundtrip_against_fraction_oracle():
     ctx = PrecisionContext(3, 6)
     rng = random.Random(11)
