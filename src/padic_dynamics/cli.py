@@ -5,10 +5,15 @@ are JSON only, written to stdout (or --out).  Tolerances are always given
 as p-power strings like ``p^-3``; no floating point appears anywhere in
 the interface or the reports.  All randomness flows through seeded
 instances of random.Random (the Mersenne Twister), so reports are
-deterministic for a fixed seed.
+deterministic for a fixed seed.  Each command returns its config,
+records and verdict, and `main` alone writes the report.  `suite` runs the
+fixed command lines of SUITE_RUNS through the same parser (--quick skips
+the counterexample), and a line passes only if that command's own checks
+pass.
 
 Exit codes: 0 all checks passed, 1 an invariant failed, 2 bad usage or
-configuration.
+configuration, which includes a --count, --orbits, --length or (thm1,
+thm3) --depth below 1, since such a check would pass on nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import argparse
 import json
 import random
 import re
+import shlex
 import sys
 from fractions import Fraction
 
@@ -90,20 +96,8 @@ def build_map(spec: str, ctx: PrecisionContext):
 # helpers
 # ---------------------------------------------------------------------------
 
-def _norm_str(n) -> str:
-    return format_norm(n) if isinstance(n, NormValue) else str(n)
-
-
 def _frac_str(x) -> str:
-    return "none" if x is None else str(Fraction(x))
-
-
-def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    return "none" if x is None else str(x)
 
 
 def _ctx_from_args(args) -> PrecisionContext:
@@ -118,16 +112,39 @@ def _ctx_from_args(args) -> PrecisionContext:
     return PrecisionContext(args.p, args.digits)
 
 
+def _require_positive(args, *names) -> None:
+    """A zero count, length or depth would pass its checks on nothing."""
+    for name in names:
+        if getattr(args, name) < 1:
+            raise PadicDynamicsError(
+                f"--{name} {getattr(args, name)} checks nothing; use 1 or more")
+
+
+def _map_with_family(spec: str, ctx: PrecisionContext):
+    """The map of `spec` and its right-inverse family, which must exist."""
+    f, family = build_map(spec, ctx)
+    if family is None:
+        raise PadicDynamicsError(f"map {spec!r} has no right-inverse family")
+    return f, family
+
+
+def _perturbations(f, delta: NormValue, args):
+    """(seed, f + phi) for --count seeded digit_local perturbations phi."""
+    for seed in range(args.seed, args.seed + args.count):
+        phi = dynamics.make_lipschitz_perturbation(f.ctx, "digit_local",
+                                                   delta, seed)
+        yield seed, dynamics.perturb(f, phi)
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (config, records, ok)
 # ---------------------------------------------------------------------------
 
-def _cmd_shadow(args) -> int:
+def _cmd_shadow(args):
+    _require_positive(args, "length", "orbits")
     ctx = _ctx_from_args(args)
     delta = parse_norm(args.delta, ctx.prime)
-    f, family = build_map(args.map, ctx)
-    if family is None:
-        raise PadicDynamicsError(f"map {args.map!r} has no right-inverse family")
+    f, family = _map_with_family(args.map, ctx)
     # the solver point must shadow as well as the oracle's best point; the
     # errors are certified on the digits that survive `length` steps of the
     # map, and with none left the comparison shows nothing
@@ -139,45 +156,37 @@ def _cmd_shadow(args) -> int:
             "--length")
     records = []
     ok = True
-    for i in range(args.orbits):
-        seed = args.seed + i
+    for seed in range(args.seed, args.seed + args.orbits):
         orbit = shadowing.random_pseudo_orbit(f, delta, args.length, seed)
         res = shadowing.solve_shadowing(f, family, orbit)
-        rec = {
-            "seed": seed,
-            "achieved_bound": _norm_str(res.achieved_bound),
-            "bound_ok": res.bound_ok,
-            "forward_checked": res.forward_checked,
-            "certified_digits": res.certified_digits,
-        }
+        rec = {"seed": seed, "achieved_bound": format_norm(res.achieved_bound),
+               "bound_ok": res.bound_ok, "forward_checked": res.forward_checked,
+               "certified_digits": res.certified_digits}
         if args.oracle:
-            point, err = shadowing.brute_force_shadow(f, orbit)
-            rec["oracle_error"] = _norm_str(err)
+            _, err = shadowing.brute_force_shadow(f, orbit)
+            rec["oracle_error"] = format_norm(err)
             rec["oracle_agree_digits"] = agree_digits
             rec["oracle_agrees"] = \
                 shadowing.orbit_error(f, orbit, res.point) == err
             ok = ok and rec["oracle_agrees"]
         ok = ok and res.bound_ok
         records.append(rec)
-    report = {
-        "command": "shadow",
-        "config": {"p": ctx.prime, "digits": ctx.total_digits, "map": args.map,
-                   "delta": args.delta, "length": args.length,
-                   "orbits": args.orbits, "seed": args.seed, "prng": PRNG_NAME},
-        "records": records,
-        "summary": {"ok": ok},
-    }
-    _emit(report, args.out)
-    return 0 if ok else 1
+    config = {"p": ctx.prime, "digits": ctx.total_digits, "map": args.map,
+              "delta": args.delta, "length": args.length,
+              "orbits": args.orbits, "seed": args.seed, "prng": PRNG_NAME}
+    return config, records, ok
 
 
-def _cmd_conjugate(args) -> int:
+def _cmd_conjugate(args):
+    _require_positive(args, "count")
+    if args.kind != "homogeneity":
+        _require_positive(args, "depth")
     ctx = _ctx_from_args(args)
     delta = parse_norm(args.delta, ctx.prime)
     records = []
     ok = True
     if args.kind == "thm1":
-        f, family = build_map(args.map, ctx)
+        f, family = _map_with_family(args.map, ctx)
         # h is certified to p^-depth only on the digits f leaves certified
         max_depth = ctx.total_digits - f.precision_loss
         if args.depth > max_depth:
@@ -185,51 +194,38 @@ def _cmd_conjugate(args) -> int:
                 f"--depth {args.depth} exceeds {max_depth} = digits - "
                 f"precision loss of {f.name}: the defect cannot reach "
                 f"p^-{args.depth}; use a smaller --depth")
-        for i in range(args.count):
-            seed = args.seed + i
-            phi = dynamics.make_lipschitz_perturbation(ctx, "digit_local",
-                                                       delta, seed)
-            g = dynamics.perturb(f, phi)
+        for seed, g in _perturbations(f, delta, args):
             h = conjugacy.build_conjugacy_thm1(f, family, g, delta, args.depth)
             hinv = conjugacy.build_inverse_conjugacy_thm1(f, family, g, delta,
                                                           args.depth)
             rep = conjugacy.verify_conjugacy(f, g, h)
-            # h-tilde o h = id holds to the recursion depth (criterion 4)
-            trip_digits = min(args.depth, ctx.total_digits)
-            cert = ctx.prime ** trip_digits
-            back = hinv.table
-            round_trip = all((back[y] - x) % cert == 0
+            # h-tilde o h = id holds to the recursion depth (criterion 4),
+            # which the guard above keeps within the digits
+            cert = ctx.prime ** args.depth
+            round_trip = all((hinv.table[y] - x) % cert == 0
                              for x, y in enumerate(h.table))
-            rec = {"seed": seed,
-                   "max_defect": _norm_str(rep.max_defect),
-                   "closeness": _norm_str(rep.closeness),
-                   "injective": rep.injective,
-                   "round_trip_digits": trip_digits,
-                   "round_trip_ok": round_trip}
-            good = (rep.max_defect <= NormValue(ctx.prime, args.depth)
-                    and rep.injective and round_trip)
-            ok = ok and good
-            records.append(rec)
+            records.append({"seed": seed,
+                            "max_defect": format_norm(rep.max_defect),
+                            "closeness": format_norm(rep.closeness),
+                            "injective": rep.injective,
+                            "round_trip_digits": args.depth,
+                            "round_trip_ok": round_trip})
+            ok = ok and (rep.max_defect <= NormValue(ctx.prime, args.depth)
+                         and rep.injective and round_trip)
     elif args.kind == "thm3":
         R, _ = build_map(args.map, ctx)
-        for i in range(args.count):
-            seed = args.seed + i
-            phi = dynamics.make_lipschitz_perturbation(ctx, "digit_local",
-                                                       delta, seed)
-            T = dynamics.perturb(R, phi)
+        for seed, T in _perturbations(R, delta, args):
             h = conjugacy.build_conjugacy_thm3(R, T, args.depth, delta)
             rep = conjugacy.verify_conjugacy(R, T, h)
-            rec = {"seed": seed,
-                   "max_defect": _norm_str(rep.max_defect),
-                   "closeness": _norm_str(rep.closeness),
-                   "bijective": rep.injective}
-            good = rep.max_defect.is_zero and rep.injective \
-                and rep.closeness <= delta
-            ok = ok and good
-            records.append(rec)
-    elif args.kind == "homogeneity":
-        # z = y + step * r is within delta of y; a delta above 1 admits
-        # every z
+            records.append({"seed": seed,
+                            "max_defect": format_norm(rep.max_defect),
+                            "closeness": format_norm(rep.closeness),
+                            "bijective": rep.injective})
+            ok = ok and (rep.max_defect.is_zero and rep.injective
+                         and rep.closeness <= delta)
+    else:
+        # homogeneity: z = y + step * r is within delta of y; a delta above
+        # 1 admits every z
         if delta.is_zero:
             raise DeltaTooSmall("homogeneity needs a nonzero --delta")
         step = ctx.prime ** max(delta.exponent - ctx.u_min + 1, 0)
@@ -251,34 +247,24 @@ def _cmd_conjugate(args) -> int:
                 zs.append(z)
             phi = conjugacy.homogeneity_homeomorphism(ctx, ys, zs, delta)
             matched = all(phi(y) == z for y, z in zip(ys, zs))
-            good = matched and phi.is_bijective() \
-                and phi.closeness.as_fraction() < 3 * delta.as_fraction()
-            ok = ok and good
+            ok = ok and (matched and phi.is_bijective() and
+                         phi.closeness.as_fraction() < 3 * delta.as_fraction())
             records.append({"case": i, "pairs": n, "matched": matched,
-                            "closeness": _norm_str(phi.closeness)})
-    else:
-        raise PadicDynamicsError(f"unknown conjugacy kind {args.kind!r}")
-    report = {
-        "command": "conjugate",
-        "config": {"kind": args.kind, "p": ctx.prime, "digits": ctx.total_digits,
-                   "map": args.map, "delta": args.delta, "depth": args.depth,
-                   "count": args.count, "seed": args.seed, "prng": PRNG_NAME},
-        "records": records,
-        "summary": {"ok": ok},
-    }
-    _emit(report, args.out)
-    return 0 if ok else 1
+                            "closeness": format_norm(phi.closeness)})
+    config = {"kind": args.kind, "p": ctx.prime, "digits": ctx.total_digits,
+              "map": args.map, "delta": args.delta, "depth": args.depth,
+              "count": args.count, "seed": args.seed, "prng": PRNG_NAME}
+    return config, records, ok
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     ctx = _ctx_from_args(args)
     f, _family = build_map(args.map, ctx)
-    checks = args.checks.split(",")
     # every scan covers all pairs of residues (or raises BudgetExceeded)
     pairs = ctx.modulus * (ctx.modulus - 1) // 2
     records = {}
     ok = True
-    for check in checks:
+    for check in args.checks.split(","):
         check = check.strip()
         if check == "lipschitz":
             est = analysis.estimate_lipschitz(f)
@@ -301,38 +287,26 @@ def _cmd_analyze(args) -> int:
             ok = ok and prof.consistent
         elif check == "openness":
             rho = analysis.image_openness(f)
-            records["openness"] = {"rho": _norm_str(rho) if rho else "none"}
+            records["openness"] = {"rho": format_norm(rho) if rho else "none"}
         elif check == "expansivity":
             const, witness = analysis.expansivity_constant(f, args.horizon)
             records["expansivity"] = {
-                "constant": _norm_str(const),
-                "horizon": args.horizon,
-                "exhaustive": True,
-                "pairs": pairs,
-                "witness": witness,
-            }
-        elif check.startswith("locally_scaling"):
-            k = args.k
-            m = args.m
-            good, witness = analysis.check_locally_scaling(f, k, m)
-            records["locally_scaling"] = {"k": k, "m": m, "ok": good,
+                "constant": format_norm(const), "horizon": args.horizon,
+                "exhaustive": True, "pairs": pairs, "witness": witness}
+        elif check == "locally_scaling":
+            good, witness = analysis.check_locally_scaling(f, args.k, args.m)
+            records["locally_scaling"] = {"k": args.k, "m": args.m, "ok": good,
                                           "exhaustive": True, "pairs": pairs,
                                           "witness": witness}
             ok = ok and good
         else:
             raise PadicDynamicsError(f"unknown check {check!r}")
-    report = {
-        "command": "analyze",
-        "config": {"p": ctx.prime, "digits": ctx.total_digits, "map": args.map,
-                   "checks": args.checks},
-        "records": records,
-        "summary": {"ok": ok},
-    }
-    _emit(report, args.out)
-    return 0 if ok else 1
+    config = {"p": ctx.prime, "digits": ctx.total_digits, "map": args.map,
+              "checks": args.checks}
+    return config, records, ok
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args):
     delta = parse_norm(args.delta, args.p)
     eps = parse_norm(args.eps, args.p)
     # each demo builds its own chart and drops it on return, so the two
@@ -341,76 +315,51 @@ def _cmd_counterexample(args) -> int:
         args.p, args.depth, delta, eps, "even", require_witness=False)
     control = counterexample.demonstrate_non_shadowing(
         args.p, args.depth, delta, eps, "full", require_witness=False)
-    ok = (not res.shadowed) and control.shadowed
-    report = {
-        "command": "counterexample",
-        "config": {"p": args.p, "depth": args.depth, "delta": args.delta,
-                   "eps": args.eps, "prng": PRNG_NAME},
-        "records": {
-            "even": {"q": res.q, "best_error": _norm_str(res.best_error_s),
-                     "shadowed": res.shadowed},
-            "full_control": {"q": control.q,
-                             "best_error": _norm_str(control.best_error_s),
-                             "shadowed": control.shadowed},
-        },
-        "summary": {"ok": ok},
+    config = {"p": args.p, "depth": args.depth, "delta": args.delta,
+              "eps": args.eps, "prng": PRNG_NAME}
+    records = {
+        "even": {"q": res.q, "best_error": format_norm(res.best_error_s),
+                 "shadowed": res.shadowed},
+        "full_control": {"q": control.q,
+                         "best_error": format_norm(control.best_error_s),
+                         "shadowed": control.shadowed},
     }
-    _emit(report, args.out)
-    return 0 if ok else 1
+    return config, records, (not res.shadowed) and control.shadowed
 
 
-def _cmd_suite(args) -> int:
-    """Reduced cross-module battery; exit 0 only if everything passes."""
-    p, N = 2, 8
-    ctx = PrecisionContext(p, N)
-    results = {}
+# The suite's command lines, by record name; `{seed}` is the suite's --seed.
+SUITE_RUNS = {
+    "shadow": "shadow --p 2 --digits 8 --delta p^-2 --length 12 --orbits 1 "
+              "--seed {seed}",
+    "conjugate": "conjugate --p 2 --digits 8 --delta p^-2 --depth 4 "
+                 "--count 1 --seed {seed}",
+    "contraction": "conjugate --kind thm3 --p 2 --digits 8 "
+                   "--map 'affine(v=2, w=1)' --delta p^-2 --depth 8 "
+                   "--count 1 --seed {seed}",
+    "counterexample": "counterexample --p 3 --depth 7 --delta p^-4 "
+                      "--eps p^-1",
+}
 
-    f = dynamics.builtin_map("shift_zp", ctx)
-    fam = dynamics.shift_right_inverses(ctx)
-    delta = NormValue(p, 2)
-    orbit = shadowing.random_pseudo_orbit(f, delta, 12, args.seed)
-    res = shadowing.solve_shadowing(f, fam, orbit)
-    results["shadow"] = res.bound_ok
 
-    phi = dynamics.make_lipschitz_perturbation(ctx, "digit_local", delta,
-                                               args.seed)
-    g = dynamics.perturb(f, phi)
-    h = conjugacy.build_conjugacy_thm1(f, fam, g, delta, 4)
-    rep = conjugacy.verify_conjugacy(f, g, h)
-    results["conjugate"] = bool(rep.max_defect <= NormValue(p, 4)
-                                and rep.injective)
-
-    R = dynamics.builtin_map("affine", ctx, v=2, w=1)
-    est = analysis.estimate_lipschitz(R)
-    results["analyze"] = est.c1_lower == est.c2_upper == Fraction(1, 2)
-
-    T = dynamics.perturb(
-        R, dynamics.make_lipschitz_perturbation(ctx, "digit_local",
-                                                NormValue(p, 2), args.seed))
-    h3 = conjugacy.build_conjugacy_thm3(R, T, N, NormValue(p, 2))
-    rep3 = conjugacy.verify_conjugacy(R, T, h3)
-    results["contraction"] = bool(rep3.max_defect.is_zero and rep3.injective)
-
-    if not args.quick:
-        d6 = NormValue(3, 4)
-        e6 = NormValue(3, 1)
+def _cmd_suite(args):
+    """Reduced cross-module battery: every record must pass."""
+    parser = _build_parser()
+    records = {}
+    for name, line in SUITE_RUNS.items():
+        if args.quick and name == "counterexample":
+            continue
+        run = parser.parse_args(shlex.split(line.format(seed=args.seed)))
         try:
-            res_c = counterexample.demonstrate_non_shadowing(
-                3, 7, d6, e6, "even", require_witness=True)
-            ctl = counterexample.demonstrate_non_shadowing(
-                3, 7, d6, e6, "full", require_witness=False)
-            results["counterexample"] = (not res_c.shadowed) and ctl.shadowed
-        except PadicDynamicsError as exc:
-            results["counterexample"] = False
-    ok = all(results.values())
-    report = {
-        "command": "suite",
-        "config": {"quick": args.quick, "seed": args.seed, "prng": PRNG_NAME},
-        "records": results,
-        "summary": {"ok": ok},
-    }
-    _emit(report, args.out)
-    return 0 if ok else 1
+            records[name] = run.fn(run)[2]
+        except PadicDynamicsError:
+            # the arguments are fixed, so an error is a failed check
+            records[name] = False
+    # no command judges Lipschitz constants, so this record checks them here
+    est = analysis.estimate_lipschitz(
+        dynamics.builtin_map("affine", PrecisionContext(2, 8), v=2, w=1))
+    records["analyze"] = est.c1_lower == est.c2_upper == Fraction(1, 2)
+    config = {"quick": args.quick, "seed": args.seed, "prng": PRNG_NAME}
+    return config, records, all(records.values())
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="field-mode exponent window lo:hi, e.g. "
                              "--window=-2:2 (with '=', since a value that "
                              "starts with '-' is read as an option)")
-        sp.add_argument("--out", default=None, help="also write JSON here")
 
     sp = sub.add_parser("shadow", help="solve shadowing for pseudo-orbits")
     common(sp)
@@ -473,29 +421,37 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", type=int, default=10)
     sp.add_argument("--delta", default="p^-6")
     sp.add_argument("--eps", default="p^-2")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_counterexample)
 
     sp = sub.add_parser("suite", help="cross-module verification battery")
     sp.add_argument("--quick", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_suite)
+
+    for sp in sub.choices.values():
+        sp.add_argument("--out", default=None, help="also write JSON here")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        config, records, ok = args.fn(args)
     except PadicDynamicsError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True))
         return 2
+    text = json.dumps({"command": args.command, "config": config,
+                       "records": records, "summary": {"ok": ok}},
+                      indent=2, sort_keys=True)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    print(text)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

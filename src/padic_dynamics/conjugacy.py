@@ -50,8 +50,6 @@ class ConjugacyMap:
     ctx: PrecisionContext
     table: list
     closeness: NormValue          # max |h(x) - x|
-    depth: int
-    tag: str
 
     def __call__(self, m: int) -> int:
         return self.table[m]
@@ -172,7 +170,7 @@ def build_conjugacy_thm1(f: DynamicMap, family: RightInverseFamily,
     """
     _, gt, tables = _thm1_tables(f, family, g, delta)
     table = _backward_passes(gt, family, tables, depth)
-    return ConjugacyMap(f.ctx, table, _closeness(f.ctx, table), depth, "thm1")
+    return ConjugacyMap(f.ctx, table, _closeness(f.ctx, table))
 
 
 def build_inverse_conjugacy_thm1(f: DynamicMap, family: RightInverseFamily,
@@ -191,8 +189,7 @@ def build_inverse_conjugacy_thm1(f: DynamicMap, family: RightInverseFamily,
     tables = [R.tabulate()
               for R in transfer_family(family, phi, delta).members]
     table = _backward_passes(ft, family, tables, depth)
-    return ConjugacyMap(f.ctx, table, _closeness(f.ctx, table), depth,
-                        "thm1.inv")
+    return ConjugacyMap(f.ctx, table, _closeness(f.ctx, table))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +273,7 @@ def build_conjugacy_thm3(R: DynamicMap, T: DynamicMap, depth: int,
     xr = _fixed_point(R)
     for x in part.core:
         table[x] = xr
-    return ConjugacyMap(ctx, table, _closeness(ctx, table), depth, "thm3")
+    return ConjugacyMap(ctx, table, _closeness(ctx, table))
 
 
 # ---------------------------------------------------------------------------
@@ -327,5 +324,4 @@ def homogeneity_homeomorphism(ctx: PrecisionContext, ys: list, zs: list,
             elif (t - z) % pj == 0:
                 table[x] = (t - shift) % M
         placed.append(z)
-    return ConjugacyMap(ctx, table, _closeness(ctx, table), len(ys),
-                        "homogeneity")
+    return ConjugacyMap(ctx, table, _closeness(ctx, table))

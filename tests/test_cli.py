@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from padic_dynamics import analysis, cli
+from padic_dynamics import analysis, cli, conjugacy
 from padic_dynamics.padic import PAdic, PrecisionContext
 
 from test_counterexample import no_derived_views
@@ -126,6 +126,40 @@ def test_conjugate_thm1_depth_beyond_certified_digits_exits_two(capsys):
                              "--count", "1"])
     assert code == 2
     assert "exceeds 5" in rep["message"]
+
+
+@pytest.mark.parametrize("command", ["shadow", "conjugate"])
+def test_map_without_right_inverse_family_exits_two(capsys, command):
+    # affine(v=3) contracts, so no family of contracting right inverses
+    # exists; thm1 used to fail on the missing family's bounds with a
+    # traceback and exit 1
+    code = cli.main([command, "--map", "affine(v=3)"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    rep = json.loads(out)
+    assert rep["error"] == "PadicDynamicsError"
+    assert "no right-inverse family" in rep["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["shadow", "--orbits", "0"],
+    ["shadow", "--length", "0"],
+    ["conjugate", "--count", "0"],
+    ["conjugate", "--kind", "thm3", "--map", "affine(v=3, w=1)",
+     "--count", "0"],
+    ["conjugate", "--kind", "homogeneity", "--count", "0"],
+    ["conjugate", "--depth", "-1"],
+    ["conjugate", "--depth", "0"],
+    ["conjugate", "--kind", "thm3", "--map", "affine(v=3, w=1)",
+     "--depth", "0"],
+], ids=" ".join)
+def test_checks_on_nothing_exit_two(capsys, argv):
+    # no records, no steps or no depth would leave every check vacuous
+    code, rep = run(capsys, argv)
+    assert code == 2
+    assert rep["error"] == "PadicDynamicsError"
+    assert "checks nothing" in rep["message"]
 
 
 def test_conjugate_thm3(capsys):
@@ -248,6 +282,14 @@ def test_analyze_failure_exits_one(capsys):
     assert rep["summary"]["ok"] is False
 
 
+def test_unknown_check_with_a_known_prefix_exits_two(capsys):
+    code, rep = run(capsys, ["analyze", "--p", "3", "--digits", "4",
+                             "--map", "shift_zp",
+                             "--checks", "locally_scaling_bogus"])
+    assert code == 2
+    assert rep["message"] == "unknown check 'locally_scaling_bogus'"
+
+
 def test_analyze_takes_no_seed(capsys):
     # the scans are exhaustive and draw nothing at random
     argv = ["analyze", "--p", "3", "--digits", "5", "--map", "shift_zp"]
@@ -332,13 +374,47 @@ def test_suite_quick(capsys):
     assert "counterexample" not in rep["records"]
 
 
-def test_out_file_written(tmp_path, capsys):
+@pytest.mark.parametrize("seed", [0, 4])
+def test_suite_records_are_the_commands_verdicts(capsys, seed):
+    code, rep = run(capsys, ["suite", "--seed", str(seed)])
+    assert set(rep["records"]) == set(cli.SUITE_RUNS) | {"analyze"}
+    for name, line in cli.SUITE_RUNS.items():
+        argv = shlex.split(line.format(seed=seed))
+        assert rep["records"][name] == (cli.main(argv) == 0), name
+    assert code == 0 and rep["summary"]["ok"] is True
+
+
+def test_suite_fails_on_a_broken_inverse(capsys, monkeypatch):
+    """The suite's Theorem 1 record runs the command's own round trip, so
+    an inverse that is off by one fails it."""
+    build = conjugacy.build_inverse_conjugacy_thm1
+
+    def shifted(*args):
+        h = build(*args)
+        M = h.ctx.modulus
+        return conjugacy.ConjugacyMap(h.ctx, [(y + 1) % M for y in h.table],
+                                      h.closeness)
+
+    monkeypatch.setattr(conjugacy, "build_inverse_conjugacy_thm1", shifted)
+    code, rep = run(capsys, ["suite", "--quick"])
+    assert code == 1 and rep["summary"]["ok"] is False
+    assert rep["records"] == {"shadow": True, "conjugate": False,
+                              "analyze": True, "contraction": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ["shadow", "--p", "2", "--digits", "6", "--orbits", "1", "--length", "5",
+     "--map", "shift_zp"],
+    ["counterexample", "--p", "3", "--depth", "7", "--delta", "p^-4",
+     "--eps", "p^-1"],
+    ["suite", "--quick"],
+], ids=lambda argv: argv[0])
+def test_out_file_written(tmp_path, capsys, argv):
     path = tmp_path / "report.json"
-    code, rep = run(capsys, ["shadow", "--p", "2", "--digits", "6",
-                             "--orbits", "1", "--length", "5",
-                             "--map", "shift_zp", "--out", str(path)])
+    code = cli.main(argv + ["--out", str(path)])
+    out = capsys.readouterr().out
     assert code == 0
-    assert json.loads(path.read_text()) == rep
+    assert path.read_text() == out
 
 
 def _readme_commands():

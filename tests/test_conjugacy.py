@@ -253,7 +253,7 @@ def test_verify_reports_zero_defect_with_resolution_bound():
         f = builtin_map("affine", ctx, v=3, w=1)
         M = ctx.modulus
         h = ConjugacyMap(ctx, list(range(M)),
-                         norm_zero(3, ctx.resolution_exp), 0, "identity")
+                         norm_zero(3, ctx.resolution_exp))
         rep = verify_conjugacy(f, f, h)
         assert rep.max_defect.is_zero
         assert rep.max_defect.bound_exp == ctx.resolution_exp
