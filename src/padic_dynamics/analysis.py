@@ -27,6 +27,7 @@ from operator import mod, mul, sub
 from typing import Optional
 
 from .dynamics import DynamicMap
+from .errors import BadParams
 from .padic import NormValue, valuation
 
 
@@ -175,15 +176,24 @@ def check_locally_scaling(f: DynamicMap, k: int, m_exp: int) -> tuple:
 
     Returns (ok, witness), the witness being the first failing pair in
     combinations(range(M), 2) order; comparisons beyond the certified
-    output digits are skipped rather than falsified.
+    output digits are skipped rather than falsified.  Raises BadParams
+    when that skips every level, since the check would then pass on no
+    pair.
     """
     ctx = f.ctx
     cap = ctx.total_digits - f.precision_loss
+    # the levels j >= k - u_min whose e = j + m_exp is below the cap compare
+    first, stop = max(k - ctx.u_min, 0), min(ctx.total_digits, cap - m_exp)
+    if first >= stop:
+        raise BadParams(
+            f"locally_scaling with k = {k}, m = {m_exp} compares no pair: "
+            f"no level j >= {k - ctx.u_min} has j + {m_exp} below the "
+            f"{cap} certified output digits")
     # a level-j pair fails when its output valuation is not e = j + m_exp
     ranges = []
     for j, (lo, hi, _) in enumerate(_level_profile(f)):
         e = j + m_exp
-        if j >= k - ctx.u_min and e < cap:
+        if first <= j < stop:
             if lo < e:
                 ranges.append((j, 0, e))
             if hi > e:

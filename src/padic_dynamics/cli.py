@@ -12,8 +12,10 @@ the counterexample), and a line passes only if that command's own checks
 pass.
 
 Exit codes: 0 all checks passed, 1 an invariant failed, 2 bad usage or
-configuration, which includes a --count, --orbits, --length or (thm1,
-thm3) --depth below 1, since such a check would pass on nothing.
+configuration, which includes a --count, --orbits, --length, (thm1, thm3)
+--depth or (expansivity) --horizon below 1, and a locally_scaling --k and
+--m that leave no pair to compare, since such a check would pass on
+nothing.
 """
 
 from __future__ import annotations
@@ -262,10 +264,12 @@ def _cmd_analyze(args):
     f, _family = build_map(args.map, ctx)
     # every scan covers all pairs of residues (or raises BudgetExceeded)
     pairs = ctx.modulus * (ctx.modulus - 1) // 2
+    checks = [check.strip() for check in args.checks.split(",")]
+    if "expansivity" in checks:
+        _require_positive(args, "horizon")
     records = {}
     ok = True
-    for check in args.checks.split(","):
-        check = check.strip()
+    for check in checks:
         if check == "lipschitz":
             est = analysis.estimate_lipschitz(f)
             records["lipschitz"] = {

@@ -27,6 +27,7 @@ each taken as one gcd by PrecisionContext.max_norm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -49,7 +50,11 @@ class ConjugacyMap:
 
     ctx: PrecisionContext
     table: list
-    closeness: NormValue          # max |h(x) - x|
+
+    @cached_property
+    def closeness(self) -> NormValue:
+        """max |h(x) - x| over the residues x, computed when first read."""
+        return self.ctx.max_norm([y - x for x, y in enumerate(self.table)])
 
     def __call__(self, m: int) -> int:
         return self.table[m]
@@ -71,11 +76,6 @@ def verify_conjugacy(f: DynamicMap, g: DynamicMap, h: ConjugacyMap) -> Conjugacy
     ft, gt, ht = f.tabulate(), g.tabulate(), h.table
     defect = h.ctx.max_norm([ft[y] - ht[z] for y, z in zip(ht, gt)])
     return ConjugacyReport(defect, h.is_bijective(), h.closeness, len(ht))
-
-
-def _closeness(ctx: PrecisionContext, table: list) -> NormValue:
-    """max |h(x) - x| over the residues x."""
-    return ctx.max_norm([y - x for x, y in enumerate(table)])
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def _transferred(R: DynamicMap, phi: list, delta: NormValue) -> DynamicMap:
             "fails for the supplied maps")
     return DynamicMap(f"transfer[{R.name}]", R.ctx, out.__getitem__,
                       R.precision_loss, R.lip_upper / (1 - shrink), None,
-                      {"base": R, "delta": delta}, out)
+                      {"delta": delta}, out)
 
 
 def transfer_family(family: RightInverseFamily, phi: list,
@@ -141,7 +141,7 @@ def _backward_passes(step: list, family: RightInverseFamily, tables: list,
     the family's membership table.
     """
     M = len(step)
-    idx = family.membership_table(M)
+    idx = family.membership_table()
     if None in idx:
         raise CoveringViolation(
             f"residue {idx.index(None)} is not covered by any right inverse")
@@ -154,8 +154,6 @@ def _backward_passes(step: list, family: RightInverseFamily, tables: list,
 def _thm1_tables(f: DynamicMap, family: RightInverseFamily, g: DynamicMap,
                  delta: NormValue) -> tuple:
     """The tables of f, g and the family members, once the guards hold."""
-    if f.ctx.modulus > f.ctx.ball_budget:
-        raise BudgetExceeded("context too large for a table-based conjugacy")
     _require_delta_small(family, delta)
     return f.tabulate(), g.tabulate(), [R.tabulate() for R in family.members]
 
@@ -170,7 +168,7 @@ def build_conjugacy_thm1(f: DynamicMap, family: RightInverseFamily,
     """
     _, gt, tables = _thm1_tables(f, family, g, delta)
     table = _backward_passes(gt, family, tables, depth)
-    return ConjugacyMap(f.ctx, table, _closeness(f.ctx, table))
+    return ConjugacyMap(f.ctx, table)
 
 
 def build_inverse_conjugacy_thm1(f: DynamicMap, family: RightInverseFamily,
@@ -189,7 +187,7 @@ def build_inverse_conjugacy_thm1(f: DynamicMap, family: RightInverseFamily,
     tables = [R.tabulate()
               for R in transfer_family(family, phi, delta).members]
     table = _backward_passes(ft, family, tables, depth)
-    return ConjugacyMap(f.ctx, table, _closeness(f.ctx, table))
+    return ConjugacyMap(f.ctx, table)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +271,7 @@ def build_conjugacy_thm3(R: DynamicMap, T: DynamicMap, depth: int,
     xr = _fixed_point(R)
     for x in part.core:
         table[x] = xr
-    return ConjugacyMap(ctx, table, _closeness(ctx, table))
+    return ConjugacyMap(ctx, table)
 
 
 # ---------------------------------------------------------------------------
@@ -324,4 +322,4 @@ def homogeneity_homeomorphism(ctx: PrecisionContext, ys: list, zs: list,
             elif (t - z) % pj == 0:
                 table[x] = (t - shift) % M
         placed.append(z)
-    return ConjugacyMap(ctx, table, _closeness(ctx, table))
+    return ConjugacyMap(ctx, table)

@@ -219,15 +219,20 @@ def _word(code: int) -> tuple:
     return tuple(bin(code)[3:].encode().translate(_LETTERS))
 
 
-def _leaf_classes(p: int, depth: int) -> tuple:
-    """The even-shift classes of level `depth`, the leaves, as two lists:
-    each class's prefix code and its shape.
+def _leaf_codes(p: int, depth: int) -> tuple:
+    """The leaf words of the even-shift chart as codes: each leaf's first
+    word, by residue, and every leaf word mapped to its residue.
 
-    Class r of a level has residue r, and child i of class r is class
-    r + i*p**level of the next, so the children of class r sit at stride
-    p**level.  Child i of (u, k) is (u << m | bits, key) for the i-th
-    child (m, bits, key) that `_split_shape` gives shape k; each shape is
-    split once, when a level first holds it.
+    Each level holds its classes as two lists, each class's prefix code
+    and its shape.  Class r of a level has residue r, and child i of class
+    r is class r + i*p**level of the next, so the children of class r sit
+    at stride p**level.  Child i of (u, k) is (u << m | bits, key) for the
+    i-th child (m, bits, key) that `_split_shape` gives shape k; each
+    shape is split once, when a level first holds it.
+
+    Leaf z holds class z of the last level of shape (state, n): its prefix
+    code extended by each suffix of n letters of its shape, in sorted
+    order.  A zero run is always admissible, so the first suffix is 0^n.
     """
     prefixes, keys = [1], [_shape(_NO_ONE, 1)]
     shapes = {}
@@ -240,18 +245,6 @@ def _leaf_classes(p: int, depth: int) -> tuple:
         prefixes = [u << child[k][0] | child[k][1] for child in children
                     for u, k in zip(prefixes, keys)]
         keys = [child[k][2] for child in children for k in keys]
-    return prefixes, keys
-
-
-def _leaf_codes(p: int, depth: int) -> tuple:
-    """The leaf words of the even-shift chart as codes: each leaf's first
-    word, by residue, and every leaf word mapped to its residue.
-
-    Leaf z holds class z of the last level of shape (state, n): its prefix
-    code extended by each suffix of n letters of its shape, in sorted
-    order.  A zero run is always admissible, so the first suffix is 0^n.
-    """
-    prefixes, keys = _leaf_classes(p, depth)
     firsts = [u << (k >> 2) for u, k in zip(prefixes, keys)]
     codes = dict(zip(firsts, range(len(firsts))))
     more = {}
@@ -448,14 +441,12 @@ def transported_shift_table(chart: CantorChart) -> list:
 # the piecewise map and its (non-covering) right inverses
 # ---------------------------------------------------------------------------
 
-def build_thm2_map(ctx: PrecisionContext, s_table: list,
-                   z_digits: int) -> DynamicMap:
+def build_thm2_map(ctx: PrecisionContext, s_table: list) -> DynamicMap:
     """x = a + b*p + z*p**2: fix when a = 0, project to z when b = 0,
-    otherwise cycle b and apply the transported shift to z."""
+    otherwise cycle b and apply the transported shift to z, which has
+    total_digits - 2 digits."""
     p, D = ctx.prime, ctx.total_digits
-    if z_digits != D - 2:
-        raise BadParams("z digit count must be total_digits - 2")
-    if len(s_table) < p ** z_digits:
+    if len(s_table) < p ** (D - 2):
         raise DepthInsufficient("chart table shallower than the context budget")
     p2 = p * p
 
@@ -470,8 +461,7 @@ def build_thm2_map(ctx: PrecisionContext, s_table: list,
         bn = b + 1 if b <= p - 2 else 1
         return a + bn * p + s[z] * p2
 
-    return DynamicMap("thm2_map", ctx, fn, 2, None, None,
-                      {"z_digits": z_digits})
+    return DynamicMap("thm2_map", ctx, fn, 2, None, None)
 
 
 def thm2_right_inverses(ctx: PrecisionContext) -> RightInverseFamily:
@@ -577,7 +567,7 @@ def demonstrate_non_shadowing(p: int, chart_depth: int, delta: NormValue,
         raise NoWitnessFound(
             f"no odd run length up to {_MAX_RUN} hides the fault below delta")
 
-    f = build_thm2_map(f_ctx, s_table, chart_depth)
+    f = build_thm2_map(f_ctx, s_table)
     p2 = p * p
     lifted = tuple(_LOW_DIGIT + ((n % (p - 1)) + 1) * p + z * p2
                    for n, z in enumerate(orbit_s))

@@ -99,7 +99,7 @@ def identity_map(ctx: PrecisionContext) -> DynamicMap:
     return DynamicMap("identity", ctx, lambda m: m, 0, Fraction(1), Fraction(1))
 
 
-def compose(outer: DynamicMap, inner: DynamicMap, name: Optional[str] = None) -> DynamicMap:
+def compose(outer: DynamicMap, inner: DynamicMap) -> DynamicMap:
     if outer.ctx != inner.ctx:
         raise BadParams("composition requires a shared context")
     lip = None
@@ -109,7 +109,7 @@ def compose(outer: DynamicMap, inner: DynamicMap, name: Optional[str] = None) ->
     if outer.lip_lower is not None and inner.lip_lower is not None:
         lo = outer.lip_lower * inner.lip_lower
     return DynamicMap(
-        name or f"{outer.name}.{inner.name}", outer.ctx,
+        f"{outer.name}.{inner.name}", outer.ctx,
         lambda m, f=outer, g=inner: f(g(m)),
         outer.precision_loss + inner.precision_loss, lip, lo)
 
@@ -477,8 +477,7 @@ def perturb(f: DynamicMap, phi: LipschitzPerturbation) -> DynamicMap:
     g = DynamicMap(
         f"{f.name}+{phi.map.name}", f.ctx,
         lambda m, f=f, g=phi.map, M=M: (f(m) + g(m)) % M,
-        max(f.precision_loss, phi.map.precision_loss), lip, None,
-        {"base": f, "phi": phi})
+        max(f.precision_loss, phi.map.precision_loss), lip, None)
     if M <= f.ctx.ball_budget:
         phi_values, _ = _residue_values(phi.map)
         try:
@@ -507,10 +506,12 @@ class RightInverseFamily:
     _memberships: Optional[list] = field(default=None, repr=False,
                                          compare=False)
 
-    def membership_table(self, M: int) -> list:
-        """membership(x) for every residue x < M, computed once per family
-        and shared by every caller, which must not change it."""
-        if self._memberships is None or len(self._memberships) != M:
+    def membership_table(self) -> list:
+        """membership(x) for every residue x of the members' context,
+        computed once per family and shared by every caller, which must
+        not change it."""
+        if self._memberships is None:
+            M = self.members[0].ctx.modulus
             self._memberships = [self.membership(x) for x in range(M)]
         return self._memberships
 
@@ -542,7 +543,7 @@ def furno_compose(w: DynamicMap, k: int) -> DynamicMap:
     pk = ctx.prime ** k
     f = DynamicMap(f"furno[{k},{w.name}]", ctx,
                    lambda m, w=w, pk=pk: w(m) // pk,
-                   k, Fraction(ctx.prime ** k), None, {"w": w, "k": k})
+                   k, Fraction(ctx.prime ** k), None, {"k": k})
     return f
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -32,14 +32,10 @@ from .errors import (
     WindowViolation,
 )
 
-_SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
-
 
 def _check_prime(p: int) -> None:
-    if p not in _SMALL_PRIMES:
-        # fall back to trial division for unusual (but legal) primes
-        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-            raise AlphabetViolation(f"{p} is not a prime")
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise AlphabetViolation(f"{p} is not a prime")
 
 
 def valuation(m: int, p: int, cap: int) -> int:
@@ -54,8 +50,8 @@ def valuation(m: int, p: int, cap: int) -> int:
 
 
 def _norm_comparison(op):
-    """A NormValue comparison by sort_key; norms of different primes do
-    not compare."""
+    """A NormValue comparison keyed on the exponents; norms of different
+    primes do not compare."""
     def method(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -63,11 +59,16 @@ def _norm_comparison(op):
             raise BadParams(f"cannot compare norms of different primes: "
                             f"{self!r} (p = {self.prime}) and {other!r} "
                             f"(p = {other.prime})")
-        return op(self.sort_key, other.sort_key)
+        a, b = self.exponent, other.exponent
+        if a is None or b is None:
+            # a zero (False) sorts below every definite norm (True)
+            return op(a is not None, b is not None)
+        # |x| = p**-exponent: the larger exponent is the smaller norm
+        return op(b, a)
     return method
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class NormValue:
     """A p-adic absolute value, |x| = p**(-exponent), kept exactly.
 
@@ -81,17 +82,9 @@ class NormValue:
     BadParams.
     """
 
-    sort_key: tuple = field(init=False, repr=False)
     prime: int
     exponent: Optional[int] = None
     bound_exp: Optional[int] = None
-
-    def __post_init__(self):
-        if self.exponent is None:
-            key = (0, 0)
-        else:
-            key = (1, -self.exponent)
-        object.__setattr__(self, "sort_key", key)
 
     __eq__ = _norm_comparison(operator.eq)
     __lt__ = _norm_comparison(operator.lt)
@@ -100,7 +93,7 @@ class NormValue:
     __ge__ = _norm_comparison(operator.ge)
 
     def __hash__(self):
-        return hash((self.prime, self.sort_key))
+        return hash((self.prime, self.exponent))
 
     @property
     def is_zero(self) -> bool:
@@ -240,8 +233,8 @@ class PAdic:
 
     Stored as the scaled integer m = sum(digits[i] * p**i), 0 <= m < p**n,
     and the digit count n: the value is p**base_exp * m, exact modulo
-    p**(base_exp + n); known_radius reports that bound.  The digit tuple
-    is derived from m the first time `digits` is read and then kept.
+    p**(base_exp + n), which known_exp reports.  The digit tuple is
+    derived from m the first time `digits` is read and then kept.
     Instances are plain data -- all arithmetic lives in module-level
     functions, which build their results with `_raw` and skip the digit
     validation that the public constructor does.
@@ -302,10 +295,6 @@ class PAdic:
         """Value is exact modulo p**known_exp."""
         return self._u + self._n
 
-    @property
-    def known_radius(self) -> NormValue:
-        return NormValue(self._p, self.known_exp)
-
     def digit_at(self, position: int) -> int:
         """Digit at absolute position (exponent) `position`, 0 if below range."""
         i = position - self._u
@@ -350,14 +339,7 @@ def make_padic(ctx: PrecisionContext, base_exp: int, digits: Iterable[int]) -> P
     for d in digits:
         if not isinstance(d, int) or not 0 <= d < p:
             raise AlphabetViolation(f"digit {d!r} outside 0..{p - 1}")
-    digits = digits[:ctx.digit_budget]
-    m, pw = 0, 1
-    for d in digits:
-        m += d * pw
-        pw *= p
-    x = _raw(p, base_exp, m, len(digits))
-    x._digits = digits
-    return x
+    return PAdic(p, base_exp, digits[:ctx.digit_budget])
 
 
 def norm(x: PAdic) -> NormValue:
@@ -451,17 +433,14 @@ def parse_padic(text: str) -> PAdic:
     parts = text.split(";")
     if len(parts) != 3:
         raise ParseError("expected three ';'-separated fields", len(text))
-    offsets = []
-    pos = 0
-    for part in parts:
-        offsets.append(pos)
-        pos += len(part) + 1
     fields = {}
-    for part, off in zip(parts, offsets):
+    off = 0
+    for part in parts:
         if ":" not in part:
             raise ParseError("missing ':' in field", off)
         key, _, val = part.partition(":")
         fields[key.strip()] = (val, off + len(key) + 1)
+        off += len(part) + 1
     for key in ("p", "u", "d"):
         if key not in fields:
             raise ParseError(f"missing field {key!r}", 0)

@@ -330,7 +330,7 @@ def test_10_non_covering_inverses_forfeit_shadowing():
     assert control.shadowed and control.best_error_s <= eps
 
     ctx = PrecisionContext(p, depth + 2)
-    ft = build_thm2_map(ctx, transported_shift_table(chart), depth).tabulate()
+    ft = build_thm2_map(ctx, transported_shift_table(chart)).tabulate()
     cert = p ** (ctx.total_digits - 2)
     covered = set()
     for R in thm2_right_inverses(ctx).members:

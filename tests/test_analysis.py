@@ -23,7 +23,7 @@ from padic_dynamics.dynamics import (
     perturb,
     make_lipschitz_perturbation,
 )
-from padic_dynamics.errors import BudgetExceeded
+from padic_dynamics.errors import BadParams, BudgetExceeded
 from padic_dynamics.padic import NormValue, PrecisionContext
 
 
@@ -110,6 +110,25 @@ def test_locally_scaling_affine_contraction():
     R = builtin_map("affine", ctx, v=3, w=2)
     ok, _ = check_locally_scaling(R, 0, 1)     # all distances scaled by 1/3
     assert ok
+
+
+def test_locally_scaling_with_no_comparable_level_raises():
+    # a level j >= k - u_min is compared only when j + m is below the
+    # certified cap; when no level is, the check would pass on no pair
+    f = builtin_map("affine", PrecisionContext(2, 4), v=2)
+    for k, m in ((0, 9), (3, 1), (4, 0), (9, -5)):
+        with pytest.raises(BadParams, match="compares no pair"):
+            check_locally_scaling(f, k, m)
+    # level 2 alone is comparable at k = 2, m = 1 (e = 3 < cap = 4)
+    assert check_locally_scaling(f, 2, 1) == (True, None)
+    g = builtin_map("affine", PrecisionContext(3, 3), v=3)
+    with pytest.raises(BadParams, match="compares no pair"):
+        check_locally_scaling(g, 9, 1)
+    # in field mode the levels start at k - u_min
+    h = builtin_map("affine", PrecisionContext(2, 3, -1, 0, "Qp"), v=2)
+    assert check_locally_scaling(h, 1, 1) == (True, None)
+    with pytest.raises(BadParams):
+        check_locally_scaling(h, 2, 1)
 
 
 def test_scaling_profile_affine():

@@ -162,6 +162,39 @@ def test_checks_on_nothing_exit_two(capsys, argv):
     assert "checks nothing" in rep["message"]
 
 
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_expansivity_horizon_below_one_exits_two(capsys, horizon):
+    # a horizon below 1 iterates nothing, so its constant would certify no
+    # separation; a check that does not read --horizon still runs
+    argv = ["analyze", "--p", "3", "--digits", "4", "--map", "shift_zp",
+            "--horizon", horizon]
+    code = cli.main(argv + ["--checks", "lipschitz,expansivity"])
+    out = capsys.readouterr().out
+    assert code == 2 and len(out.splitlines()) == 1
+    rep = json.loads(out)
+    assert rep["error"] == "PadicDynamicsError"
+    assert rep["message"].startswith(f"--horizon {horizon} checks nothing")
+    code, rep = run(capsys, argv + ["--checks", "lipschitz"])
+    assert code == 0 and set(rep["records"]) == {"lipschitz"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "2", "--digits", "4", "--map", "affine(v=2)", "--k", "0",
+     "--m", "9"],
+    ["--p", "3", "--digits", "3", "--map", "affine(v=3)", "--k", "9",
+     "--m", "1"],
+], ids=" ".join)
+def test_locally_scaling_with_no_pair_to_compare_exits_two(capsys, argv):
+    # every level j >= k has j + m at or above the certified digits, so
+    # the check used to report ok on no compared pair and exit 0
+    code = cli.main(["analyze", "--checks", "locally_scaling", *argv])
+    out = capsys.readouterr().out
+    assert code == 2 and len(out.splitlines()) == 1
+    rep = json.loads(out)
+    assert rep["error"] == "BadParams"
+    assert "compares no pair" in rep["message"]
+
+
 def test_conjugate_thm3(capsys):
     code, rep = run(capsys, ["conjugate", "--kind", "thm3", "--p", "3",
                              "--digits", "6", "--map", "affine(v=3, w=1)",
@@ -392,8 +425,7 @@ def test_suite_fails_on_a_broken_inverse(capsys, monkeypatch):
     def shifted(*args):
         h = build(*args)
         M = h.ctx.modulus
-        return conjugacy.ConjugacyMap(h.ctx, [(y + 1) % M for y in h.table],
-                                      h.closeness)
+        return conjugacy.ConjugacyMap(h.ctx, [(y + 1) % M for y in h.table])
 
     monkeypatch.setattr(conjugacy, "build_inverse_conjugacy_thm1", shifted)
     code, rep = run(capsys, ["suite", "--quick"])

@@ -21,6 +21,7 @@ from padic_dynamics.conjugacy import (
 )
 from padic_dynamics.dynamics import (
     DynamicMap,
+    LipschitzPerturbation,
     RightInverseFamily,
     bijective_isometry,
     builtin_map,
@@ -252,12 +253,55 @@ def test_verify_reports_zero_defect_with_resolution_bound():
     for ctx in (PrecisionContext(3, 5), PrecisionContext(3, 4, -2, 0, "Qp")):
         f = builtin_map("affine", ctx, v=3, w=1)
         M = ctx.modulus
-        h = ConjugacyMap(ctx, list(range(M)),
-                         norm_zero(3, ctx.resolution_exp))
+        h = ConjugacyMap(ctx, list(range(M)))
         rep = verify_conjugacy(f, f, h)
         assert rep.max_defect.is_zero
         assert rep.max_defect.bound_exp == ctx.resolution_exp
         assert rep.injective and rep.residues == M
+
+
+def test_closeness_is_the_pointwise_max_of_every_builder():
+    """Each builder's closeness is max |h(x) - x| over its table, computed
+    when first read and then kept; the Theorem 1 inverse's is never read
+    by the builder, and the identity's is zero at resolution."""
+    ctx = PrecisionContext(3, 5)
+    delta = NormValue(3, 2)
+    f, fam = builtin_map("shift_zp", ctx), shift_right_inverses(ctx)
+    g = perturb(f, make_lipschitz_perturbation(ctx, "digit_local", delta, 1))
+    R = builtin_map("affine", ctx, v=3, w=1)
+    T = perturb(R, make_lipschitz_perturbation(ctx, "digit_local", delta, 2))
+    hinv = build_inverse_conjugacy_thm1(f, fam, g, delta, 3)
+    assert "closeness" not in hinv.__dict__
+    maps = [build_conjugacy_thm1(f, fam, g, delta, 3), hinv,
+            build_conjugacy_thm3(R, T, 5, delta),
+            homogeneity_homeomorphism(ctx, [1, 2], [10, 20], NormValue(3, 1)),
+            ConjugacyMap(ctx, list(range(ctx.modulus)))]
+    for h in maps:
+        want = _pointwise_closeness(ctx, h.table)
+        assert _norm_key(h.closeness) == _norm_key(want)
+        assert h.__dict__["closeness"] is h.closeness
+    assert all(not h.closeness.is_zero for h in maps[:4])
+    assert _norm_key(maps[4].closeness) == \
+        _norm_key(norm_zero(3, ctx.resolution_exp))
+
+
+def test_params_hold_no_live_maps():
+    """perturb, the right-inverse transfer and furno_compose record plain
+    data in params, not the maps they were built from."""
+    ctx = PrecisionContext(3, 4)
+    delta = NormValue(3, 2)
+    f = builtin_map("shift_zp", ctx)
+    g = perturb(f, make_lipschitz_perturbation(ctx, "digit_local", delta, 1))
+    phi = [(y - x) % ctx.modulus for x, y in zip(f.tabulate(), g.tabulate())]
+    w = bijective_isometry(ctx, "triangular", seed=1)
+    maps = [g, *transfer_family(shift_right_inverses(ctx), phi, delta).members,
+            *transfer_family(locally_scaling_inverses(w, 1), phi,
+                             delta).members,
+            furno_compose(w, 2)]
+    for mp in maps:
+        for value in mp.params.values():
+            assert not isinstance(value, (DynamicMap, LipschitzPerturbation))
+    assert furno_compose(w, 2).params == {"k": 2}
 
 
 # ---------------------------------------------------------------------------

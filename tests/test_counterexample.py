@@ -26,6 +26,7 @@ from padic_dynamics.counterexample import (
 from padic_dynamics.errors import (
     BadParams,
     ChartExhausted,
+    DepthInsufficient,
     NoWitnessFound,
 )
 from padic_dynamics.padic import NormValue, PrecisionContext
@@ -660,7 +661,7 @@ def _setup_map(depth=5):
     chart = build_cantor_chart("even", p, depth)
     s = transported_shift_table(chart)
     ctx = PrecisionContext(p, depth + 2)
-    return ctx, build_thm2_map(ctx, s, depth), s
+    return ctx, build_thm2_map(ctx, s), s
 
 
 def test_piecewise_branches():
@@ -682,6 +683,18 @@ def test_right_inverse_identity_exact():
     for R in fam.members:
         for x in range(ctx.modulus):
             assert f(R(x)) == x % 3 ** (ctx.total_digits - 2)
+
+
+def test_thm2_map_needs_a_shift_table_for_every_z():
+    # the z block has total_digits - 2 digits, read from the context, so a
+    # table shorter than p^(D - 2) is too shallow
+    ctx, f, s = _setup_map(5)
+    assert f.ctx.total_digits - 2 == 5 and len(s) == 3 ** 5
+    with pytest.raises(DepthInsufficient):
+        build_thm2_map(ctx, s[:-1])
+    with pytest.raises(DepthInsufficient):
+        build_thm2_map(PrecisionContext(3, 8), s)
+    assert f.params == {}
 
 
 def test_family_is_not_covering():
@@ -754,7 +767,7 @@ def test_demo_matches_flat_oracle_without_tabulating(monkeypatch, subshift,
     assert len(counts) == 1 and counts[0][0] < ctx.modulus // 3
 
     chart = build_cantor_chart(subshift, 3, depth)
-    f = build_thm2_map(ctx, transported_shift_table(chart), depth)
+    f = build_thm2_map(ctx, transported_shift_table(chart))
     orbit = PseudoOrbit(ctx, res.orbit_f, delta.scaled(2))
     assert (res.best_point, res.best_error_f) == \
         _ref_brute_force_shadow(f, orbit)
@@ -766,7 +779,7 @@ def test_lifted_orbit_is_a_valid_pseudo_orbit():
     res = demonstrate_non_shadowing(3, 7, delta, eps, "even")
     ctx = PrecisionContext(3, 9)
     chart = build_cantor_chart("even", 3, 7)
-    f = build_thm2_map(ctx, transported_shift_table(chart), 7)
+    f = build_thm2_map(ctx, transported_shift_table(chart))
     orbit = PseudoOrbit(ctx, res.orbit_f, delta.scaled(2))
     assert verify_pseudo_orbit(f, orbit) <= delta.scaled(2)
 

@@ -9,6 +9,7 @@ import pytest
 
 from padic_dynamics.dynamics import (
     DynamicMap,
+    RightInverseFamily,
     bijective_isometry,
     builtin_map,
     check_isometry,
@@ -260,6 +261,20 @@ def test_shift_family_identities_exhaustive():
     assert images == set(range(M))     # covering
     for m in range(M):
         assert fam.membership(m) == m % 3
+
+
+def test_membership_table_is_pointwise_and_built_once():
+    # the family reads the residue count from its members' context
+    ctx = PrecisionContext(2, 6)
+    w = bijective_isometry(ctx, "triangular", seed=3)
+    for fam in (shift_right_inverses(ctx), locally_scaling_inverses(w, 2)):
+        calls = []
+        counted = RightInverseFamily(
+            fam.members, lambda m, fam=fam: calls.append(m) or fam.membership(m))
+        table = counted.membership_table()
+        assert table == [fam.membership(x) for x in range(ctx.modulus)]
+        assert counted.membership_table() is table
+        assert calls == list(range(ctx.modulus))
 
 
 def test_furno_reduces_to_shift_for_identity_isometry():

@@ -5,6 +5,7 @@ for values, a direct valuation computation for norms.  No expected value
 below was produced by the code under test.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -102,6 +103,17 @@ def test_zero_norms_are_equal_whatever_their_bound():
     for k in (-5, 0, 3, 100):
         for z in zeros:
             assert z < norm_from_exp(3, k) and z != norm_from_exp(3, k)
+
+
+def test_norm_value_fields_are_its_data():
+    # comparisons and hashes read the exponent; nothing derived is stored
+    assert [f.name for f in dataclasses.fields(NormValue)] == \
+        ["prime", "exponent", "bound_exp"]
+    n = NormValue(3, 2)
+    assert not hasattr(n, "__dict__")
+    assert hash(n) == hash(NormValue(3, 2)) and n == NormValue(3, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        n.exponent = 1
 
 
 def test_norm_as_fraction():

@@ -233,7 +233,7 @@ def _oracle_maps():
     for depth in (4, 5):
         chart = build_cantor_chart("even", 3, depth)
         yield build_thm2_map(PrecisionContext(3, depth + 2),
-                             transported_shift_table(chart), depth)
+                             transported_shift_table(chart))
 
 
 def _oracle_orbits(f, rng):
