@@ -170,6 +170,30 @@ def estimate_lipschitz(f: DynamicMap) -> LipschitzEstimate:
                              wlow, whigh)
 
 
+def _scaling_levels(f: DynamicMap, k: int, m_exp: int) -> range:
+    """The input levels j that check_locally_scaling(f, k, m_exp) compares:
+    j >= k - u_min with e = j + m_exp below the certified output digits.
+    Raises BadParams when there is none."""
+    ctx = f.ctx
+    cap = ctx.total_digits - f.precision_loss
+    first, stop = max(k - ctx.u_min, 0), min(ctx.total_digits, cap - m_exp)
+    if first >= stop:
+        raise BadParams(
+            f"locally_scaling with k = {k}, m = {m_exp} compares no pair: "
+            f"no level j >= {k - ctx.u_min} has j + {m_exp} below the "
+            f"{cap} certified output digits")
+    return range(first, stop)
+
+
+def locally_scaling_pairs(f: DynamicMap, k: int, m_exp: int) -> int:
+    """How many pairs check_locally_scaling(f, k, m_exp) compares: the
+    pairs on its levels, M * (M/p**j - M/p**(j+1)) / 2 on level j."""
+    ctx = f.ctx
+    p, M = ctx.prime, ctx.modulus
+    levels = _scaling_levels(f, k, m_exp)
+    return M * (M // p ** levels.start - M // p ** levels.stop) // 2
+
+
 def check_locally_scaling(f: DynamicMap, k: int, m_exp: int) -> tuple:
     """Verify |f(x)-f(y)| == p**-m_exp * |x-y| on all pairs with
     |x-y| <= p**-k.
@@ -180,20 +204,12 @@ def check_locally_scaling(f: DynamicMap, k: int, m_exp: int) -> tuple:
     when that skips every level, since the check would then pass on no
     pair.
     """
-    ctx = f.ctx
-    cap = ctx.total_digits - f.precision_loss
-    # the levels j >= k - u_min whose e = j + m_exp is below the cap compare
-    first, stop = max(k - ctx.u_min, 0), min(ctx.total_digits, cap - m_exp)
-    if first >= stop:
-        raise BadParams(
-            f"locally_scaling with k = {k}, m = {m_exp} compares no pair: "
-            f"no level j >= {k - ctx.u_min} has j + {m_exp} below the "
-            f"{cap} certified output digits")
+    levels = _scaling_levels(f, k, m_exp)
     # a level-j pair fails when its output valuation is not e = j + m_exp
     ranges = []
     for j, (lo, hi, _) in enumerate(_level_profile(f)):
         e = j + m_exp
-        if first <= j < stop:
+        if j in levels:
             if lo < e:
                 ranges.append((j, 0, e))
             if hi > e:

@@ -6,7 +6,9 @@ as p-power strings like ``p^-3``; no floating point appears anywhere in
 the interface or the reports.  All randomness flows through seeded
 instances of random.Random (the Mersenne Twister), so reports are
 deterministic for a fixed seed.  Each command returns its config,
-records and verdict, and `main` alone writes the report.  `suite` runs the
+records and verdict, and `main` alone writes the report.  A config
+records the arguments as given, `--window` only when given, so the
+command it records re-runs to the same records.  `suite` runs the
 fixed command lines of SUITE_RUNS through the same parser (--quick skips
 the counterexample), and a line passes only if that command's own checks
 pass.
@@ -114,6 +116,16 @@ def _ctx_from_args(args) -> PrecisionContext:
     return PrecisionContext(args.p, args.digits)
 
 
+def _ctx_config(args, ctx: PrecisionContext) -> dict:
+    """The context's part of a report's config, as given on the command
+    line, so that the config re-runs: --digits as given (a field-mode
+    context spans more) and --window only when given."""
+    config = {"p": ctx.prime, "digits": args.digits}
+    if args.window:
+        config["window"] = args.window
+    return config
+
+
 def _require_positive(args, *names) -> None:
     """A zero count, length or depth would pass its checks on nothing."""
     for name in names:
@@ -173,7 +185,7 @@ def _cmd_shadow(args):
             ok = ok and rec["oracle_agrees"]
         ok = ok and res.bound_ok
         records.append(rec)
-    config = {"p": ctx.prime, "digits": ctx.total_digits, "map": args.map,
+    config = {**_ctx_config(args, ctx), "map": args.map,
               "delta": args.delta, "length": args.length,
               "orbits": args.orbits, "seed": args.seed, "prng": PRNG_NAME}
     return config, records, ok
@@ -253,7 +265,7 @@ def _cmd_conjugate(args):
                          phi.closeness.as_fraction() < 3 * delta.as_fraction())
             records.append({"case": i, "pairs": n, "matched": matched,
                             "closeness": format_norm(phi.closeness)})
-    config = {"kind": args.kind, "p": ctx.prime, "digits": ctx.total_digits,
+    config = {"kind": args.kind, **_ctx_config(args, ctx),
               "map": args.map, "delta": args.delta, "depth": args.depth,
               "count": args.count, "seed": args.seed, "prng": PRNG_NAME}
     return config, records, ok
@@ -262,7 +274,8 @@ def _cmd_conjugate(args):
 def _cmd_analyze(args):
     ctx = _ctx_from_args(args)
     f, _family = build_map(args.map, ctx)
-    # every scan covers all pairs of residues (or raises BudgetExceeded)
+    # expansivity covers every pair of residues; locally_scaling counts
+    # the pairs on the levels it compares
     pairs = ctx.modulus * (ctx.modulus - 1) // 2
     checks = [check.strip() for check in args.checks.split(",")]
     if "expansivity" in checks:
@@ -299,13 +312,14 @@ def _cmd_analyze(args):
                 "exhaustive": True, "pairs": pairs, "witness": witness}
         elif check == "locally_scaling":
             good, witness = analysis.check_locally_scaling(f, args.k, args.m)
-            records["locally_scaling"] = {"k": args.k, "m": args.m, "ok": good,
-                                          "exhaustive": True, "pairs": pairs,
-                                          "witness": witness}
+            records["locally_scaling"] = {
+                "k": args.k, "m": args.m, "ok": good, "exhaustive": True,
+                "pairs": analysis.locally_scaling_pairs(f, args.k, args.m),
+                "witness": witness}
             ok = ok and good
         else:
             raise PadicDynamicsError(f"unknown check {check!r}")
-    config = {"p": ctx.prime, "digits": ctx.total_digits, "map": args.map,
+    config = {**_ctx_config(args, ctx), "map": args.map,
               "checks": args.checks}
     return config, records, ok
 

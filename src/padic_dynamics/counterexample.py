@@ -45,6 +45,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .errors import (
     BadParams,
+    BudgetExceeded,
     ChartExhausted,
     DepthInsufficient,
     NoWitnessFound,
@@ -538,13 +539,20 @@ def demonstrate_non_shadowing(p: int, chart_depth: int, delta: NormValue,
     The lifted orbit cycles the middle digit b_n = (n mod (p-1)) + 1 and
     carries the chart orbit in the top digit block, so its defects are
     delta * p**-2.  Errors are reported both at the lifted level and
-    rescaled by p**2 back to the chart level, where `eps` applies.
+    rescaled by p**2 back to the chart level, where `eps` applies.  The
+    exact search runs on the chart, over p**chart_depth residues (at most
+    p**(chart_depth - 1) of them scored), and the lifted answer is derived
+    from it; the lifted map only verifies the orbit's defects.
     A prebuilt `chart` must be the (subshift, p, chart_depth) chart.
     """
     if p < 3:
         raise BadParams("the construction needs p >= 3")
     z_ctx = PrecisionContext(p, chart_depth)
     f_ctx = PrecisionContext(p, chart_depth + 2)
+    # the oracle enumerates the chart residues: refuse before building
+    if z_ctx.modulus > z_ctx.ball_budget:
+        raise BudgetExceeded(
+            f"{z_ctx.modulus} residues exceed enumeration budget")
     if chart is None:
         chart = build_cantor_chart(subshift, p, chart_depth)
     elif (chart.subshift, chart.p, chart.depth) != (subshift, p, chart_depth):
@@ -576,7 +584,17 @@ def demonstrate_non_shadowing(p: int, chart_depth: int, delta: NormValue,
     if worst > orbit_f.delta:
         raise NoWitnessFound(f"lifted orbit defect {worst!r} exceeds bound")
 
-    best_point, best_error_f = brute_force_shadow(f, orbit_f)
+    # The oracle scores the chart orbit under s.  A lifted x = a + b*p +
+    # z*p**2 whose (a, b) differs from x_0's low digits is p**-1 from x_0;
+    # otherwise f^n(x) = a + b_n*p + s^n(z)*p**2, so x's lifted error is
+    # p**-2 times z's chart error.  x grows with z, so ties still resolve
+    # to the smallest residue, and the lifted answer follows exactly.
+    # s drops a word's first letter: one digit of loss, as shift_zp's
+    s = DynamicMap("transported_shift", z_ctx, s_table.__getitem__, 1,
+                   _table=s_table)
+    z_best, error_z = brute_force_shadow(s, PseudoOrbit(z_ctx, orbit_s, delta))
+    best_point = lifted[0] % p2 + z_best * p2
+    best_error_f = error_z.scaled(2)
     if best_error_f.is_zero:
         best_error_s = best_error_f
     else:

@@ -51,6 +51,14 @@ class DynamicMap:
             return self._table[m]
         return self.fn(m)
 
+    def evaluator(self) -> Callable[[int], int]:
+        """The map as one plain callable, for loops that step it many
+        times: its table's lookup when it has a table, else fn.  Nothing
+        is tabulated here."""
+        if self._table is not None:
+            return self._table.__getitem__
+        return self.fn
+
     def eval(self, x: PAdic) -> PAdic:
         return self.ctx.from_int(self(self.ctx.to_int(x)))
 

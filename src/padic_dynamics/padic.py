@@ -335,11 +335,16 @@ def make_padic(ctx: PrecisionContext, base_exp: int, digits: Iterable[int]) -> P
         if not ctx.u_min <= base_exp <= ctx.u_max:
             raise WindowViolation(
                 f"base exponent {base_exp} outside window [{ctx.u_min}, {ctx.u_max}]")
-    p = ctx.prime
-    for d in digits:
+    p, n = ctx.prime, min(len(digits), ctx.digit_budget)
+    m, pw = 0, 1
+    # every digit is checked, those beyond the budget too, and only once
+    for i, d in enumerate(digits):
         if not isinstance(d, int) or not 0 <= d < p:
             raise AlphabetViolation(f"digit {d!r} outside 0..{p - 1}")
-    return PAdic(p, base_exp, digits[:ctx.digit_budget])
+        if i < n:
+            m += d * pw
+            pw *= p
+    return _raw(p, base_exp, m, n)
 
 
 def norm(x: PAdic) -> NormValue:

@@ -93,9 +93,11 @@ def solve_shadowing(f: DynamicMap, family: RightInverseFamily,
                 f"no right inverse covers orbit point at step {n}")
         indices.append(i)
 
+    # one evaluator per member, read once: steps skip DynamicMap.__call__
+    inverses = [R.evaluator() for R in family.members]
     z = [0] * (L + 1)
     for n in range(L - 1, -1, -1):
-        R = family.members[indices[n]]
+        R = inverses[indices[n]]
         z[n] = (R((pts[n + 1] + z[n + 1]) % M) - pts[n]) % M
 
     achieved = ctx.max_norm(z)
@@ -105,11 +107,12 @@ def solve_shadowing(f: DynamicMap, family: RightInverseFamily,
     checked = 0
     y = (pts[0] + z[0]) % M
     p = ctx.prime
+    f_eval = f.evaluator()
     for n in range(1, L + 1):
         digits = ctx.total_digits - n * f.precision_loss
         if digits < 1:
             break
-        y = f(y)
+        y = f_eval(y)
         if (y - (pts[n] + z[n])) % (p ** digits):
             break
         checked = n
@@ -163,6 +166,7 @@ def brute_force_shadow(f: DynamicMap, orbit: PseudoOrbit,
     loss = f.precision_loss if respect_loss else 0
     # digits of f^n(x) still certified after n steps
     caps = [D - n * loss for n in range(1, len(tail) + 1)]
+    f_eval = f.evaluator()
 
     def score(x, minval, need):
         """min over n of v(f^n(x) - x_n), starting from minval = v(x - x_0)
@@ -171,7 +175,7 @@ def brute_force_shadow(f: DynamicMap, orbit: PseudoOrbit,
         for xn, cap in zip(tail, caps):
             if minval < need:
                 break
-            y = f(y)
+            y = f_eval(y)
             v = valuation((y - xn) % M, p, D)
             # a difference only in the uncertified digits is no error
             if v < minval and v < cap:

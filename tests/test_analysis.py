@@ -11,6 +11,7 @@ from padic_dynamics import analysis
 from padic_dynamics.analysis import (
     check_locally_scaling,
     estimate_lipschitz,
+    locally_scaling_pairs,
     expansivity_constant,
     image_openness,
     scaling_profile,
@@ -24,7 +25,7 @@ from padic_dynamics.dynamics import (
     make_lipschitz_perturbation,
 )
 from padic_dynamics.errors import BadParams, BudgetExceeded
-from padic_dynamics.padic import NormValue, PrecisionContext
+from padic_dynamics.padic import NormValue, PrecisionContext, valuation
 
 
 def test_shift_lip_scan_is_exact():
@@ -110,6 +111,28 @@ def test_locally_scaling_affine_contraction():
     R = builtin_map("affine", ctx, v=3, w=2)
     ok, _ = check_locally_scaling(R, 0, 1)     # all distances scaled by 1/3
     assert ok
+
+
+def test_locally_scaling_pairs_are_the_compared_levels():
+    """The pair count is the number of pairs {x, y} on the levels the
+    check compares: j = v(x - y) >= k - u_min with j + m below the
+    certified output digits."""
+    w = bijective_isometry(PrecisionContext(2, 8), "triangular", seed=1)
+    cases = [(furno_compose(w, 2), 2, -2),
+             (builtin_map("affine", PrecisionContext(3, 5), v=3, w=1), 0, 1),
+             (builtin_map("affine", PrecisionContext(3, 5), v=3, w=1), 2, 1),
+             (builtin_map("shift_qp", PrecisionContext(3, 2, -2, 1, "Qp")),
+              -1, -1)]
+    for f, k, m in cases:
+        ctx = f.ctx
+        p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
+        cap = D - f.precision_loss
+        want = sum(1 for x, y in combinations(range(M), 2)
+                   if k - ctx.u_min <= (j := valuation(y - x, p, D))
+                   and j + m < cap)
+        assert 0 < want == locally_scaling_pairs(f, k, m)
+    # the README's furno example compares levels 2 to 7 of 2^8 residues
+    assert locally_scaling_pairs(cases[0][0], 2, -2) == 8064
 
 
 def test_locally_scaling_with_no_comparable_level_raises():

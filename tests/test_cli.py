@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from padic_dynamics import analysis, cli, conjugacy
+from padic_dynamics import analysis, cli, conjugacy, counterexample
 from padic_dynamics.padic import PAdic, PrecisionContext
 
 from test_counterexample import no_derived_views
@@ -260,6 +260,9 @@ def test_analyze_locally_scaling(capsys):
                              "--k", "2", "--m", "-2"])
     assert code == 0
     assert rep["records"]["locally_scaling"]["ok"] is True
+    # levels 0 and 1 hold 16,384 + 8,192 of the 32,640 pairs; the check
+    # compares levels 2 to 7 only, which hold 128 * (64 - 1) pairs
+    assert rep["records"]["locally_scaling"]["pairs"] == 8064
 
 
 def test_analyze_locally_scaling_and_expansivity_report_their_pairs(capsys):
@@ -268,10 +271,13 @@ def test_analyze_locally_scaling_and_expansivity_report_their_pairs(capsys):
                              "--checks", "locally_scaling,expansivity",
                              "--k", "0", "--m", "1", "--horizon", "4"])
     assert code == 0
-    pairs = 3 ** 8 * (3 ** 8 - 1) // 2
+    M = 3 ** 8
+    pairs = M * (M - 1) // 2
+    # j + 1 stays below the 8 digits on levels 0 to 6: every pair but the
+    # M * (3 - 1) / 2 on level 7
     assert rep["records"]["locally_scaling"] == {
-        "k": 0, "m": 1, "ok": True, "exhaustive": True, "pairs": pairs,
-        "witness": None}
+        "k": 0, "m": 1, "ok": True, "exhaustive": True,
+        "pairs": pairs - M, "witness": None}
     # the contraction never separates the closest pairs
     assert rep["records"]["expansivity"] == {
         "constant": "p^-7", "horizon": 4, "exhaustive": True,
@@ -363,9 +369,40 @@ def test_documented_window_form_reaches_the_command(capsys):
             "rho_open_Ra(a=1)"]
     code, rep = run(capsys, argv + [example])
     assert code == 0 and rep["command"] == "analyze"
-    assert rep["config"]["digits"] == 4 + 4
+    assert rep["config"]["digits"] == 4
+    assert rep["config"]["window"] == "-2:2"
     assert cli.main(argv + ["--window", "-2:2"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def _argv_from_config(command, config):
+    """The command line that a report's config records."""
+    argv = [command]
+    for key, value in config.items():
+        if key != "prng":
+            argv.append(f"--{key}={value}")
+    return argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjugate", "--kind", "thm3", "--p", "3", "--digits", "4",
+     "--window=-2:1", "--map", "remark2_uvw(u=p:3;u:1;d:1, v=p:3;u:2;d:1, "
+     "w=p:3;u:0;d:1)", "--delta", "p^-3", "--depth", "7", "--count", "3"],
+    ["analyze", "--p", "3", "--digits", "3", "--window=-2:1",
+     "--map", "affine(v=3, w=1)", "--checks", "lipschitz,openness"],
+    ["shadow", "--p", "3", "--digits", "5", "--length", "3",
+     "--orbits", "2"],
+], ids=lambda argv: argv[0])
+def test_report_reruns_from_its_config(capsys, argv):
+    """A report's config records --digits as given and --window only when
+    given, so running the command it records gives the same records."""
+    code, rep = run(capsys, argv)
+    assert code == 0
+    windowed = any(a.startswith("--window") for a in argv)
+    assert ("window" in rep["config"]) == windowed
+    assert rep["config"]["digits"] == int(argv[argv.index("--digits") + 1])
+    again = run(capsys, _argv_from_config(argv[0], rep["config"]))
+    assert again == (code, rep)
 
 
 def test_counterexample_command(capsys):
@@ -374,6 +411,22 @@ def test_counterexample_command(capsys):
     assert code == 0
     assert rep["records"]["even"]["shadowed"] is False
     assert rep["records"]["full_control"]["shadowed"] is True
+
+
+def test_counterexample_runs_to_the_chart_budget(capsys, monkeypatch):
+    """The oracle enumerates the 3^depth chart residues, so depth 11
+    (3^11 residues) runs and depth 13 (3^13 > 2^20) is refused before a
+    chart is built."""
+    code, rep = run(capsys, ["counterexample", "--p", "3", "--depth", "11"])
+    assert code == 0 and rep["summary"]["ok"] is True
+    assert set(rep["records"]) == {"even", "full_control"}
+
+    def no_chart(*args):
+        raise AssertionError("a chart was built over the budget")
+
+    monkeypatch.setattr(counterexample, "build_cantor_chart", no_chart)
+    code, rep = run(capsys, ["counterexample", "--p", "3", "--depth", "13"])
+    assert code == 2 and rep["error"] == "BudgetExceeded"
 
 
 def test_counterexample_command_derives_no_chart_tree(capsys, monkeypatch):

@@ -750,8 +750,9 @@ def test_witness_requirement_raises_on_control():
 def test_demo_matches_flat_oracle_without_tabulating(monkeypatch, subshift,
                                                      depth):
     """Both demos report the flat reference scan's best point and error,
-    and evaluate the lifted map on fewer than M/p residues (tabulating it
-    would take M)."""
+    and evaluate the lifted map only to verify the orbit's defects: the
+    oracle runs on the chart, and tabulating the lifted map would take
+    M evaluations."""
     delta, eps = NormValue(3, 4), NormValue(3, 1)
     counts = []
 
@@ -763,15 +764,49 @@ def test_demo_matches_flat_oracle_without_tabulating(monkeypatch, subshift,
     monkeypatch.setattr(counterexample, "build_thm2_map", counted_map)
     res = demonstrate_non_shadowing(3, depth, delta, eps, subshift,
                                     require_witness=False)
-    ctx = PrecisionContext(3, depth + 2)
-    assert len(counts) == 1 and counts[0][0] < ctx.modulus // 3
+    assert counts == [[len(res.orbit_f) - 1]]
 
+    ctx = PrecisionContext(3, depth + 2)
     chart = build_cantor_chart(subshift, 3, depth)
     f = build_thm2_map(ctx, transported_shift_table(chart))
     orbit = PseudoOrbit(ctx, res.orbit_f, delta.scaled(2))
     assert (res.best_point, res.best_error_f) == \
         _ref_brute_force_shadow(f, orbit)
     assert res.shadowed == (subshift == "full" and depth == 7)
+
+
+@pytest.mark.parametrize("p, depths", [(3, range(3, 9)), (5, range(3, 7))],
+                         ids=["3-depths-3-8", "5-depths-3-6"])
+@pytest.mark.parametrize("subshift", ["even", "full"])
+def test_chart_oracle_matches_lifted_reference(subshift, p, depths):
+    """The demo scores the chart orbit under the transported shift and
+    derives the lifted answer; the flat reference scan over every lifted
+    residue gives the same best point and error, and so the same chart
+    error and verdict, for every delta = p^-2 .. p^-(depth-1) and
+    eps = p^-1 .. p^-3."""
+    cases = 0
+    for depth in depths:
+        chart = build_cantor_chart(subshift, p, depth)
+        ctx = PrecisionContext(p, depth + 2)
+        f = build_thm2_map(ctx, transported_shift_table(chart))
+        for k in range(2, depth):
+            delta = NormValue(p, k)
+            want = None
+            for e in (1, 2, 3):
+                eps = NormValue(p, e)
+                res = demonstrate_non_shadowing(p, depth, delta, eps,
+                                                subshift, False, chart)
+                if want is None:
+                    orbit = PseudoOrbit(ctx, res.orbit_f, delta.scaled(2))
+                    point, error_f = _ref_brute_force_shadow(f, orbit)
+                    error_s = error_f if error_f.is_zero else \
+                        NormValue(p, error_f.exponent - 2)
+                    want = point, error_f, error_s
+                assert (res.best_point, res.best_error_f,
+                        res.best_error_s) == want, (depth, k)
+                assert res.shadowed == (want[2] <= eps)
+                cases += 1
+    assert cases == 3 * sum(depth - 2 for depth in depths)
 
 
 def test_lifted_orbit_is_a_valid_pseudo_orbit():

@@ -206,6 +206,36 @@ def test_make_padic_checks_every_digit_once(digits):
     assert make_padic(ctx, 0, good).digits == tuple(good[:4])
 
 
+def test_make_padic_messages_and_single_check(monkeypatch):
+    """make_padic raises its own AlphabetViolation and WindowViolation
+    messages, and builds without PAdic.__init__, which would check every
+    digit a second time."""
+    zp, qp = PrecisionContext(3, 4), PrecisionContext(3, 4, -2, 1, "Qp")
+    for ctx, base_exp, digits, error, message in (
+            (zp, 0, [1, 3], AlphabetViolation, "digit 3 outside 0..2"),
+            (zp, 0, [1, "1"], AlphabetViolation, "digit '1' outside 0..2"),
+            (zp, 0, [0] * 6 + [-1], AlphabetViolation,
+             "digit -1 outside 0..2"),
+            (zp, 1, [1], WindowViolation,
+             "Zp values must have base exponent 0"),
+            (qp, 2, [1], WindowViolation,
+             "base exponent 2 outside window [-2, 1]")):
+        with pytest.raises(error) as info:
+            make_padic(ctx, base_exp, digits)
+        assert str(info.value) == message
+
+    def rechecked(*args):
+        raise AssertionError("make_padic went through PAdic.__init__")
+
+    # (context, base exponent, digits given, the value with budget digits)
+    cases = [(zp, 0, (2, 0, 1, 1, 2, 2), PAdic(3, 0, (2, 0, 1, 1))),
+             (qp, -2, (1, 2), PAdic(3, -2, (1, 2)))]
+    monkeypatch.setattr(PAdic, "__init__", rechecked)
+    for ctx, base_exp, digits, want in cases:
+        got = make_padic(ctx, base_exp, digits)
+        assert got == want and got.digits == want.digits
+
+
 def test_digit_at_and_normalized():
     x = PAdic(3, 0, (0, 0, 2, 1))
     assert x.digit_at(-5) == 0

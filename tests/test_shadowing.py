@@ -284,6 +284,34 @@ def test_oracle_matches_flat_reference_scan():
     assert new_total <= ref_total
 
 
+def test_solver_and_oracle_step_maps_without_call(monkeypatch):
+    """The solver and the oracle read one evaluator per map, the table
+    when the map has one and fn otherwise, so no step goes through
+    DynamicMap.__call__, and a map without a table is not tabulated."""
+    ctx = PrecisionContext(3, 6)
+    tabled = builtin_map("shift_zp", ctx)
+    tabled.tabulate()
+    family = shift_right_inverses(ctx)
+    orbits = [random_pseudo_orbit(tabled, NormValue(3, 2), 5, seed)
+              for seed in range(4)]
+    want = [(solve_shadowing(tabled, family, orbit),
+             brute_force_shadow(tabled, orbit, respect_loss))
+            for orbit in orbits for respect_loss in (False, True)]
+
+    def no_call(self, m):
+        raise AssertionError(f"{self.name} stepped through __call__")
+
+    monkeypatch.setattr(DynamicMap, "__call__", no_call)
+    plain = builtin_map("shift_zp", ctx)
+    for f in (tabled, plain):
+        got = [(solve_shadowing(f, family, orbit),
+                brute_force_shadow(f, orbit, respect_loss))
+               for orbit in orbits for respect_loss in (False, True)]
+        assert got == want
+    assert plain._table is None
+    assert all(R._table is None for R in family.members)
+
+
 def test_covering_violation_reported_with_step():
     # the non-covering family leaves residues with membership None
     ctx = PrecisionContext(3, 5)
