@@ -5,13 +5,12 @@ are JSON only, written to stdout (or --out).  Tolerances are always given
 as p-power strings like ``p^-3``; no floating point appears anywhere in
 the interface or the reports.  All randomness flows through seeded
 instances of random.Random (the Mersenne Twister), so reports are
-deterministic for a fixed seed.  Each command returns its config,
-records and verdict, and `main` alone writes the report.  A config
-records the arguments as given, `--window` only when given, so the
-command it records re-runs to the same records.  `suite` runs the
-fixed command lines of SUITE_RUNS through the same parser (--quick skips
-the counterexample), and a line passes only if that command's own checks
-pass.
+deterministic for a fixed seed.  Each command returns its records and
+verdict, and `main` alone writes the report.  A report's config is the
+arguments as parsed, unset ones omitted, so the command it records
+re-runs to the same records.  `suite` runs the fixed command lines of
+SUITE_RUNS through the same parser (--quick skips the counterexample),
+and a line passes only if that command's own checks pass.
 
 Exit codes: 0 all checks passed, 1 an invariant failed, 2 bad usage or
 configuration, which includes a --count, --orbits, --length, (thm1, thm3)
@@ -40,6 +39,7 @@ from .padic import (
     parse_padic,
 )
 
+# a parser default, not an option: reports record it, no argv can set it
 PRNG_NAME = "random.Random (Mersenne Twister)"
 
 
@@ -90,9 +90,9 @@ def build_map(spec: str, ctx: PrecisionContext):
         w = dynamics.bijective_isometry(ctx, iso, seed)
         return dynamics.furno_compose(w, k), dynamics.locally_scaling_inverses(w, k)
     f = dynamics.builtin_map(name, ctx, **params)
-    family = None
-    if name in ("shift_zp", "shift_qp"):
-        family = dynamics.shift_right_inverses(ctx)
+    # R_i(x) = i + p*x inverts the one-sided shift on Z_p only: on a Q_p
+    # window, shift_qp(R_i(x)) falls below the window for every i != 0
+    family = dynamics.shift_right_inverses(ctx) if name == "shift_zp" else None
     return f, family
 
 
@@ -105,7 +105,7 @@ def _frac_str(x) -> str:
 
 
 def _ctx_from_args(args) -> PrecisionContext:
-    if getattr(args, "window", None):
+    if args.window:
         try:
             lo, hi = (int(t) for t in args.window.split(":"))
         except ValueError:
@@ -114,16 +114,6 @@ def _ctx_from_args(args) -> PrecisionContext:
                 "integer exponents") from None
         return PrecisionContext(args.p, args.digits, lo, hi, "Qp")
     return PrecisionContext(args.p, args.digits)
-
-
-def _ctx_config(args, ctx: PrecisionContext) -> dict:
-    """The context's part of a report's config, as given on the command
-    line, so that the config re-runs: --digits as given (a field-mode
-    context spans more) and --window only when given."""
-    config = {"p": ctx.prime, "digits": args.digits}
-    if args.window:
-        config["window"] = args.window
-    return config
 
 
 def _require_positive(args, *names) -> None:
@@ -151,7 +141,7 @@ def _perturbations(f, delta: NormValue, args):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (config, records, ok)
+# subcommands: each returns (records, ok)
 # ---------------------------------------------------------------------------
 
 def _cmd_shadow(args):
@@ -185,10 +175,7 @@ def _cmd_shadow(args):
             ok = ok and rec["oracle_agrees"]
         ok = ok and res.bound_ok
         records.append(rec)
-    config = {**_ctx_config(args, ctx), "map": args.map,
-              "delta": args.delta, "length": args.length,
-              "orbits": args.orbits, "seed": args.seed, "prng": PRNG_NAME}
-    return config, records, ok
+    return records, ok
 
 
 def _cmd_conjugate(args):
@@ -265,10 +252,7 @@ def _cmd_conjugate(args):
                          phi.closeness.as_fraction() < 3 * delta.as_fraction())
             records.append({"case": i, "pairs": n, "matched": matched,
                             "closeness": format_norm(phi.closeness)})
-    config = {"kind": args.kind, **_ctx_config(args, ctx),
-              "map": args.map, "delta": args.delta, "depth": args.depth,
-              "count": args.count, "seed": args.seed, "prng": PRNG_NAME}
-    return config, records, ok
+    return records, ok
 
 
 def _cmd_analyze(args):
@@ -288,7 +272,6 @@ def _cmd_analyze(args):
             records["lipschitz"] = {
                 "c1_lower": _frac_str(est.c1_lower),
                 "c2_upper": _frac_str(est.c2_upper),
-                "exhaustive": est.exhaustive,
                 "pairs": est.pairs,
                 "witness_low": est.witness_low,
                 "witness_high": est.witness_high,
@@ -297,7 +280,6 @@ def _cmd_analyze(args):
             prof = analysis.scaling_profile(f)
             records["scaling"] = {
                 "consistent": prof.consistent,
-                "exhaustive": True,
                 "profile": {str(k): v for k, v in sorted(prof.table.items())},
                 "witness": prof.witness,
             }
@@ -308,20 +290,18 @@ def _cmd_analyze(args):
         elif check == "expansivity":
             const, witness = analysis.expansivity_constant(f, args.horizon)
             records["expansivity"] = {
-                "constant": format_norm(const), "horizon": args.horizon,
-                "exhaustive": True, "pairs": pairs, "witness": witness}
+                "constant": format_norm(const), "pairs": pairs,
+                "witness": witness}
         elif check == "locally_scaling":
             good, witness = analysis.check_locally_scaling(f, args.k, args.m)
             records["locally_scaling"] = {
-                "k": args.k, "m": args.m, "ok": good, "exhaustive": True,
+                "ok": good,
                 "pairs": analysis.locally_scaling_pairs(f, args.k, args.m),
                 "witness": witness}
             ok = ok and good
         else:
             raise PadicDynamicsError(f"unknown check {check!r}")
-    config = {**_ctx_config(args, ctx), "map": args.map,
-              "checks": args.checks}
-    return config, records, ok
+    return records, ok
 
 
 def _cmd_counterexample(args):
@@ -333,8 +313,6 @@ def _cmd_counterexample(args):
         args.p, args.depth, delta, eps, "even", require_witness=False)
     control = counterexample.demonstrate_non_shadowing(
         args.p, args.depth, delta, eps, "full", require_witness=False)
-    config = {"p": args.p, "depth": args.depth, "delta": args.delta,
-              "eps": args.eps, "prng": PRNG_NAME}
     records = {
         "even": {"q": res.q, "best_error": format_norm(res.best_error_s),
                  "shadowed": res.shadowed},
@@ -342,7 +320,7 @@ def _cmd_counterexample(args):
                          "best_error": format_norm(control.best_error_s),
                          "shadowed": control.shadowed},
     }
-    return config, records, (not res.shadowed) and control.shadowed
+    return records, (not res.shadowed) and control.shadowed
 
 
 # The suite's command lines, by record name; `{seed}` is the suite's --seed.
@@ -368,7 +346,7 @@ def _cmd_suite(args):
             continue
         run = parser.parse_args(shlex.split(line.format(seed=args.seed)))
         try:
-            records[name] = run.fn(run)[2]
+            records[name] = run.fn(run)[1]
         except PadicDynamicsError:
             # the arguments are fixed, so an error is a failed check
             records[name] = False
@@ -376,8 +354,7 @@ def _cmd_suite(args):
     est = analysis.estimate_lipschitz(
         dynamics.builtin_map("affine", PrecisionContext(2, 8), v=2, w=1))
     records["analyze"] = est.c1_lower == est.c2_upper == Fraction(1, 2)
-    config = {"quick": args.quick, "seed": args.seed, "prng": PRNG_NAME}
-    return config, records, all(records.values())
+    return records, all(records.values())
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--orbits", type=int, default=10)
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against the exhaustive oracle")
-    sp.set_defaults(fn=_cmd_shadow)
+    sp.set_defaults(fn=_cmd_shadow, prng=PRNG_NAME)
 
     sp = sub.add_parser("conjugate", help="build and verify conjugacies")
     common(sp)
@@ -420,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", default="p^-2")
     sp.add_argument("--depth", type=int, default=4)
     sp.add_argument("--count", type=int, default=5)
-    sp.set_defaults(fn=_cmd_conjugate)
+    sp.set_defaults(fn=_cmd_conjugate, prng=PRNG_NAME)
 
     sp = sub.add_parser("analyze", help="metric estimators for a catalog map")
     common(sp)
@@ -439,12 +416,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", type=int, default=10)
     sp.add_argument("--delta", default="p^-6")
     sp.add_argument("--eps", default="p^-2")
-    sp.set_defaults(fn=_cmd_counterexample)
+    sp.set_defaults(fn=_cmd_counterexample, prng=PRNG_NAME)
 
     sp = sub.add_parser("suite", help="cross-module verification battery")
     sp.add_argument("--quick", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=_cmd_suite)
+    sp.set_defaults(fn=_cmd_suite, prng=PRNG_NAME)
 
     for sp in sub.choices.values():
         sp.add_argument("--out", default=None, help="also write JSON here")
@@ -457,11 +434,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config, records, ok = args.fn(args)
+        records, ok = args.fn(args)
     except PadicDynamicsError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True))
         return 2
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "fn", "out") and v is not None}
     text = json.dumps({"command": args.command, "config": config,
                        "records": records, "summary": {"ok": ok}},
                       indent=2, sort_keys=True)

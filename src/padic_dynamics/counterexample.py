@@ -500,8 +500,6 @@ class NonShadowingResult:
     q: int                        # length of the faked zero-run
     orbit_s: tuple                # chart-level pseudo-orbit
     orbit_f: tuple                # lifted pseudo-orbit of the piecewise map
-    delta: NormValue              # chart-level pseudo-orbit bound (met)
-    eps: NormValue                # chart-level shadowing tolerance tested
     best_point: int
     best_error_f: NormValue       # exact minimum at the lifted level
     best_error_s: NormValue       # the same, rescaled to the chart level
@@ -604,5 +602,5 @@ def demonstrate_non_shadowing(p: int, chart_depth: int, delta: NormValue,
     if require_witness and shadowed:
         raise NoWitnessFound(
             f"pseudo-orbit is {eps!r}-shadowed by residue {best_point}")
-    return NonShadowingResult(subshift, chosen_q, orbit_s, lifted, delta, eps,
-                              best_point, best_error_f, best_error_s, shadowed)
+    return NonShadowingResult(subshift, chosen_q, orbit_s, lifted, best_point,
+                              best_error_f, best_error_s, shadowed)

@@ -362,13 +362,10 @@ def builtin_map(name: str, ctx: PrecisionContext, **params) -> DynamicMap:
         if not (vv > vu > 0):
             raise BadParams("need 0 < |v| < |u| < 1 (valuations v > u > 0)")
         pw_frac = p ** W
+        uq = u // pw_frac  # exact: |u| < 1 makes p**W divide the scaled u
 
-        def fn(m, u=u, v=v, w=w, pw=pw_frac, W=W, M=M, p=p):
-            fr, fl = m % pw, m // pw
-            total = u * fr + v * (fl * pw) + w * pw
-            if total % pw:
-                raise WindowViolation("result falls below the window")
-            return (total // pw) % M
+        def fn(m, uq=uq, v=v, w=w, pw=pw_frac, M=M):
+            return (uq * (m % pw) + v * (m // pw) + w) % M
 
         return DynamicMap("remark2_uvw", ctx, fn, 0, _pow_norm(p, vu),
                           _pow_norm(p, vv), {"u": u, "v": v, "w": w})
@@ -409,7 +406,6 @@ class LipschitzPerturbation:
 
     map: DynamicMap
     delta: NormValue
-    kind: str
 
     def __call__(self, m: int) -> int:
         return self.map(m)
@@ -439,7 +435,7 @@ def make_lipschitz_perturbation(ctx: PrecisionContext, kind: str,
             raise BadParams("constant exceeds the declared delta")
         m = DynamicMap(f"phi.const[{c}]", ctx, lambda _x, c=c: c, 0,
                        Fraction(0), Fraction(0), {"c": c})
-        return LipschitzPerturbation(m, delta, kind)
+        return LipschitzPerturbation(m, delta)
 
     if kind == "digit_local":
         if k < 0:
@@ -454,14 +450,14 @@ def make_lipschitz_perturbation(ctx: PrecisionContext, kind: str,
 
         mp = DynamicMap(f"phi.digit_local[{seed}]", ctx, fn, 0,
                         delta.as_fraction(), None, {"seed": seed, "k": k})
-        return LipschitzPerturbation(mp, delta, kind)
+        return LipschitzPerturbation(mp, delta)
 
     if kind == "example2_phi_n":
         n = int(params.get("n", 0))
         mp = builtin_map("example2_phi_n", ctx, n=n)
         if mp.lip_upper > delta.as_fraction():
             raise BadParams("example2_phi_n exceeds the declared delta")
-        return LipschitzPerturbation(mp, delta, kind)
+        return LipschitzPerturbation(mp, delta)
 
     raise UnknownMap(f"no perturbation kind named {kind!r}")
 

@@ -64,7 +64,6 @@ def verify_pseudo_orbit(f: DynamicMap, orbit: PseudoOrbit) -> NormValue:
 class ShadowingResult:
     point: int                    # scaled residue x_0 + z_0
     corrections: tuple            # z_0, ..., z_L
-    indices: tuple                # chosen right-inverse indices i_0..i_{L-1}
     achieved_bound: NormValue     # max |z_n|
     bound_ok: bool                # achieved_bound <= delta / p
     forward_checked: int          # orbit steps re-verified forward
@@ -118,8 +117,8 @@ def solve_shadowing(f: DynamicMap, family: RightInverseFamily,
         checked = n
 
     cert = max(ctx.total_digits - L * f.precision_loss, 0)
-    return ShadowingResult((pts[0] + z[0]) % M, tuple(z), tuple(indices),
-                           achieved, bound_ok, checked, cert)
+    return ShadowingResult((pts[0] + z[0]) % M, tuple(z), achieved, bound_ok,
+                           checked, cert)
 
 
 def orbit_error(f: DynamicMap, orbit: PseudoOrbit, x: int) -> NormValue:

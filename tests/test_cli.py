@@ -128,12 +128,24 @@ def test_conjugate_thm1_depth_beyond_certified_digits_exits_two(capsys):
     assert "exceeds 5" in rep["message"]
 
 
-@pytest.mark.parametrize("command", ["shadow", "conjugate"])
-def test_map_without_right_inverse_family_exits_two(capsys, command):
+_SHIFT_QP = ["--p", "3", "--digits", "4", "--window=-2:1", "--map",
+             "shift_qp"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["shadow", "--map", "affine(v=3)"], id="shadow"),
+    pytest.param(["conjugate", "--map", "affine(v=3)"], id="conjugate"),
+    pytest.param(["shadow", *_SHIFT_QP], id="shadow-shift_qp"),
+    pytest.param(["conjugate", "--kind", "thm1", *_SHIFT_QP],
+                 id="conjugate-shift_qp"),
+])
+def test_map_without_right_inverse_family_exits_two(capsys, argv):
     # affine(v=3) contracts, so no family of contracting right inverses
     # exists; thm1 used to fail on the missing family's bounds with a
-    # traceback and exit 1
-    code = cli.main([command, "--map", "affine(v=3)"])
+    # traceback and exit 1.  R_i(x) = i + p*x inverts shift_zp, not
+    # shift_qp: on a Q_p window shift_qp(R_i(x)) falls below the window
+    # for i != 0, and the solver and builder used to raise WindowViolation
+    code = cli.main(argv)
     out = capsys.readouterr().out
     assert code == 2
     assert len(out.splitlines()) == 1
@@ -238,19 +250,22 @@ def test_analyze_multiple_checks(capsys):
                              "--checks", "lipschitz,openness"])
     assert code == 0
     assert rep["records"]["openness"]["rho"] == "none"
-    assert rep["records"]["lipschitz"]["exhaustive"] is True
+    assert rep["records"]["lipschitz"]["pairs"] == 256 * 255 // 2
 
 
 def test_analyze_scaling_reports_sampling(capsys):
     # 3^5 residues give 29,403 pairs and 3^8 give 21.5 million: the
-    # profile covers all of them in both contexts
-    for digits in ("5", "8"):
-        code, rep = run(capsys, ["analyze", "--p", "3", "--digits", digits,
-                                 "--map", "affine(v=3, w=1)",
+    # reported profile is the library's exhaustive one in both contexts
+    for digits in (5, 8):
+        code, rep = run(capsys, ["analyze", "--p", "3", "--digits",
+                                 str(digits), "--map", "affine(v=3, w=1)",
                                  "--checks", "scaling"])
         assert code == 0
         assert rep["records"]["scaling"]["consistent"] is True
-        assert rep["records"]["scaling"]["exhaustive"] is True
+        f, _ = cli.build_map("affine(v=3, w=1)", PrecisionContext(3, digits))
+        prof = analysis.scaling_profile(f)
+        assert rep["records"]["scaling"]["profile"] == {
+            str(k): v for k, v in prof.table.items()}
 
 
 def test_analyze_locally_scaling(capsys):
@@ -276,12 +291,13 @@ def test_analyze_locally_scaling_and_expansivity_report_their_pairs(capsys):
     # j + 1 stays below the 8 digits on levels 0 to 6: every pair but the
     # M * (3 - 1) / 2 on level 7
     assert rep["records"]["locally_scaling"] == {
-        "k": 0, "m": 1, "ok": True, "exhaustive": True,
-        "pairs": pairs - M, "witness": None}
+        "ok": True, "pairs": pairs - M, "witness": None}
     # the contraction never separates the closest pairs
     assert rep["records"]["expansivity"] == {
-        "constant": "p^-7", "horizon": 4, "exhaustive": True,
-        "pairs": pairs, "witness": [0, 3 ** 7]}
+        "constant": "p^-7", "pairs": pairs, "witness": [0, 3 ** 7]}
+    # the parameters the records were computed with are the config's
+    assert {key: rep["config"][key] for key in ("k", "m", "horizon")} == {
+        "k": 0, "m": 1, "horizon": 4}
 
 
 def test_analyze_reports_the_library_witnesses(capsys):
@@ -376,11 +392,13 @@ def test_documented_window_form_reaches_the_command(capsys):
 
 
 def _argv_from_config(command, config):
-    """The command line that a report's config records."""
+    """The command line that a report's config records: a flag for each
+    true switch and none for a false one; the PRNG is not an option."""
     argv = [command]
     for key, value in config.items():
-        if key != "prng":
-            argv.append(f"--{key}={value}")
+        if key == "prng" or value is False:
+            continue
+        argv.append(f"--{key}" if value is True else f"--{key}={value}")
     return argv
 
 
@@ -392,15 +410,27 @@ def _argv_from_config(command, config):
      "--map", "affine(v=3, w=1)", "--checks", "lipschitz,openness"],
     ["shadow", "--p", "3", "--digits", "5", "--length", "3",
      "--orbits", "2"],
+    pytest.param(["shadow", "--p", "3", "--digits", "5", "--length", "3",
+                  "--orbits", "2", "--oracle"], id="shadow-oracle"),
+    pytest.param(["analyze", "--p", "3", "--digits", "4", "--map", "shift_zp",
+                  "--checks", "expansivity,locally_scaling", "--horizon",
+                  "3", "--k", "2", "--m", "-1"], id="analyze-horizon-k-m"),
+    ["counterexample", "--p", "3", "--depth", "7", "--delta", "p^-4",
+     "--eps", "p^-1"],
+    ["suite", "--quick", "--seed", "2"],
 ], ids=lambda argv: argv[0])
 def test_report_reruns_from_its_config(capsys, argv):
-    """A report's config records --digits as given and --window only when
-    given, so running the command it records gives the same records."""
+    """A report's config is the arguments as parsed, unset ones omitted:
+    --digits as given, --window only when given and every option a
+    record depends on, so running the command it records gives the same
+    records."""
     code, rep = run(capsys, argv)
     assert code == 0
     windowed = any(a.startswith("--window") for a in argv)
     assert ("window" in rep["config"]) == windowed
-    assert rep["config"]["digits"] == int(argv[argv.index("--digits") + 1])
+    if "--digits" in argv:
+        assert rep["config"]["digits"] == int(
+            argv[argv.index("--digits") + 1])
     again = run(capsys, _argv_from_config(argv[0], rep["config"]))
     assert again == (code, rep)
 

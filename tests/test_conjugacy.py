@@ -39,7 +39,7 @@ from padic_dynamics.errors import (
     NotInjective,
     NotProper,
 )
-from padic_dynamics.padic import NormValue, PrecisionContext, norm_zero
+from padic_dynamics.padic import NormValue, PAdic, PrecisionContext, norm_zero
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +565,34 @@ def test_thm3_scaled_isometry_contraction():
     h = build_conjugacy_thm3(R, T, ctx.total_digits, delta)
     rep = verify_conjugacy(R, T, h)
     assert rep.max_defect.is_zero and rep.injective
+
+
+@pytest.mark.parametrize("ctx", [
+    PrecisionContext(3, 4, -2, 1, "Qp"), PrecisionContext(2, 6, -3, 2, "Qp")],
+    ids=lambda ctx: f"Qp{ctx.prime}")
+@pytest.mark.parametrize("v_exp", [2, 3])
+def test_thm3_remark2_uvw_on_qp(ctx, v_exp):
+    """Theorem 3 on a Q_p window: R(x) = u*frac(x) + v*floor(x) + w with
+    |u| = p^-1 and |v| = p^-v_exp mixes the fractional and integer
+    digits, and its measured Lipschitz constants are the declared ones."""
+    p = ctx.prime
+    R = builtin_map("remark2_uvw", ctx, u=PAdic(p, 1, (1,)),
+                    v=PAdic(p, v_exp, (1,)), w=PAdic(p, 0, (1,)))
+    est = estimate_lipschitz(R)
+    assert (est.c1_lower, est.c2_upper) == (R.lip_lower, R.lip_upper) == (
+        Fraction(1, p ** v_exp), Fraction(1, p))
+    # p * delta must not exceed c1 = p^-v_exp
+    delta = NormValue(p, v_exp + 1)
+    moved = 0
+    for seed in range(3):
+        T = perturb(R, make_lipschitz_perturbation(ctx, "digit_local", delta,
+                                                   seed))
+        h = build_conjugacy_thm3(R, T, ctx.total_digits, delta)
+        rep = verify_conjugacy(R, T, h)
+        assert rep.max_defect.is_zero and rep.injective
+        assert rep.closeness <= delta
+        moved += sum(y != x for x, y in enumerate(h.table))
+    assert moved                          # some h is not the identity
 
 
 # ---------------------------------------------------------------------------

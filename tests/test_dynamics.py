@@ -226,7 +226,7 @@ def test_perturb_is_pointwise_sum():
 def test_example2_phi_as_perturbation_respects_declared_delta():
     ctx = PrecisionContext(2, 8)
     phi = make_lipschitz_perturbation(ctx, "example2_phi_n", NormValue(2, 2), n=1)
-    assert phi.kind == "example2_phi_n"
+    assert phi.map.name == "example2_phi_n[1]"
     with pytest.raises(BadParams):
         make_lipschitz_perturbation(ctx, "example2_phi_n", NormValue(2, 3), n=1)
 
