@@ -7,8 +7,9 @@ the interface or the reports.  All randomness flows through seeded
 instances of random.Random (the Mersenne Twister), so reports are
 deterministic for a fixed seed.  Each command returns its records and
 verdict, and `main` alone writes the report.  A report's config is the
-arguments as parsed, unset ones omitted, so the command it records
-re-runs to the same records.  `suite` runs the fixed command lines of
+arguments as parsed, with the defaults a command resolves filled in and
+unset ones omitted, so the command it records re-runs to the same
+records.  `suite` runs the fixed command lines of
 SUITE_RUNS through the same parser (--quick skips the counterexample),
 and a line passes only if that command's own checks pass.
 
@@ -16,7 +17,8 @@ Exit codes: 0 all checks passed, 1 an invariant failed, 2 bad usage or
 configuration, which includes a --count, --orbits, --length, (thm1, thm3)
 --depth or (expansivity) --horizon below 1, and a locally_scaling --k and
 --m that leave no pair to compare, since such a check would pass on
-nothing.
+nothing, and a --map or --depth given to `conjugate --kind homogeneity`,
+which reads neither.
 """
 
 from __future__ import annotations
@@ -180,7 +182,19 @@ def _cmd_shadow(args):
 
 def _cmd_conjugate(args):
     _require_positive(args, "count")
-    if args.kind != "homogeneity":
+    if args.kind == "homogeneity":
+        given = [f"--{name}" for name in ("map", "depth")
+                 if getattr(args, name) is not None]
+        if given:
+            raise PadicDynamicsError(
+                f"--kind homogeneity reads no {' or '.join(given)}: its "
+                "ball swaps take neither a map nor a recursion depth")
+    else:
+        # thm1 and thm3 resolve the defaults here, so the config records them
+        if args.map is None:
+            args.map = "shift_zp"
+        if args.depth is None:
+            args.depth = 4
         _require_positive(args, "depth")
     ctx = _ctx_from_args(args)
     delta = parse_norm(args.delta, ctx.prime)
@@ -393,9 +407,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--kind", choices=("thm1", "thm3", "homogeneity"),
                     default="thm1")
-    sp.add_argument("--map", default="shift_zp")
+    sp.add_argument("--map", help="thm1 and thm3 only; default shift_zp")
     sp.add_argument("--delta", default="p^-2")
-    sp.add_argument("--depth", type=int, default=4)
+    sp.add_argument("--depth", type=int,
+                    help="thm1 and thm3 only; default 4")
     sp.add_argument("--count", type=int, default=5)
     sp.set_defaults(fn=_cmd_conjugate, prng=PRNG_NAME)
 

@@ -86,6 +86,14 @@ class NormValue:
     exponent: Optional[int] = None
     bound_exp: Optional[int] = None
 
+    def __init__(self, prime: int, exponent: Optional[int] = None,
+                 bound_exp: Optional[int] = None):
+        # the slot descriptors store the fields directly; the frozen
+        # __setattr__ still refuses every later assignment
+        _set_prime(self, prime)
+        _set_exponent(self, exponent)
+        _set_bound_exp(self, bound_exp)
+
     __eq__ = _norm_comparison(operator.eq)
     __lt__ = _norm_comparison(operator.lt)
     __le__ = _norm_comparison(operator.le)
@@ -119,6 +127,11 @@ class NormValue:
                 return f"|0|_{self.prime}"
             return f"|<=p^-{self.bound_exp}|_{self.prime}"
         return f"p^{-self.exponent}" if self.exponent else "1"
+
+
+_set_prime = NormValue.prime.__set__
+_set_exponent = NormValue.exponent.__set__
+_set_bound_exp = NormValue.bound_exp.__set__
 
 
 def norm_from_exp(p: int, k: int) -> NormValue:
@@ -158,11 +171,13 @@ class PrecisionContext:
         if self.u_min > self.u_max:
             raise WindowViolation("empty exponent window")
 
-    @property
+    # the context is frozen, so its derived constants are computed on first
+    # read and kept; equality and hash read only the fields
+    @functools.cached_property
     def total_digits(self) -> int:
         return (self.u_max - self.u_min) + self.digit_budget
 
-    @property
+    @functools.cached_property
     def modulus(self) -> int:
         return self.prime ** self.total_digits
 
@@ -194,16 +209,18 @@ class PrecisionContext:
     def from_int(self, m: int, base_exp: Optional[int] = None) -> "PAdic":
         """PAdic carrying all total_digits digits of m (mod modulus)."""
         m %= self.modulus
-        u = self.u_min if base_exp is None else base_exp
-        if u < self.u_min:
+        if base_exp is None:
+            return _raw(self.prime, self.u_min, m, self.total_digits)
+        shift = base_exp - self.u_min
+        if shift < 0:
             raise WindowViolation(
-                f"base exponent {u} below window minimum {self.u_min}")
-        if u != self.u_min:
-            q, r = divmod(m, self.prime ** (u - self.u_min))
+                f"base exponent {base_exp} below window minimum {self.u_min}")
+        if shift:
+            q, r = divmod(m, self.prime ** shift)
             if r:
                 raise WindowViolation("integer not representable at this base exponent")
             m = q
-        return _raw(self.prime, u, m, max(self.total_digits - (u - self.u_min), 0))
+        return _raw(self.prime, base_exp, m, max(self.total_digits - shift, 0))
 
     def norm_of_int(self, m: int) -> NormValue:
         """Norm of the value p**u_min * m, as certified by this context."""
@@ -350,21 +367,19 @@ def make_padic(ctx: PrecisionContext, base_exp: int, digits: Iterable[int]) -> P
 def norm(x: PAdic) -> NormValue:
     """p-adic absolute value; zero-to-precision carries its certified bound."""
     if x._m == 0:
-        return norm_zero(x._p, x._u + x._n)
+        return NormValue(x._p, None, x._u + x._n)
     return NormValue(x._p, x._u + valuation(x._m, x._p, x._n))
-
-
-def _require_same_prime(x: PAdic, y: PAdic) -> None:
-    if x._p != y._p:
-        raise AlphabetViolation(f"prime mismatch: {x._p} != {y._p}")
 
 
 def _signed_sum(x: PAdic, y: PAdic, sign: int) -> PAdic:
     """x + sign * y, truncated to the shared certified precision."""
-    _require_same_prime(x, y)
     p, ux, uy = x._p, x._u, y._u
+    if p != y._p:
+        raise AlphabetViolation(f"prime mismatch: {p} != {y._p}")
     mx, my = x._m, y._m
-    if ux < uy:
+    if ux == uy:
+        u = ux
+    elif ux < uy:
         u, my = ux, my * p ** (uy - ux)
     else:
         u, mx = uy, mx * p ** (ux - uy)
@@ -388,8 +403,9 @@ def mul(x: PAdic, y: PAdic) -> PAdic:
     If x is exact mod p**mx and |y| <= p**-vy (valuation lower bound from
     the leading digits), the product is exact mod p**min(mx+vy, my+vx).
     """
-    _require_same_prime(x, y)
     p, ux, uy = x._p, x._u, y._u
+    if p != y._p:
+        raise AlphabetViolation(f"prime mismatch: {p} != {y._p}")
     vx = ux + valuation(x._m, p, x._n)
     vy = uy + valuation(y._m, p, y._n)
     u = ux + uy

@@ -225,6 +225,35 @@ def test_conjugate_homogeneity(capsys):
     assert all(r["matched"] for r in rep["records"])
 
 
+@pytest.mark.parametrize("extra", [
+    ["--map", "shift_zp"], ["--depth", "4"],
+    ["--map", "warp_drive", "--depth", "99"],
+], ids=" ".join)
+def test_conjugate_homogeneity_refuses_map_and_depth(capsys, extra):
+    # the ball swaps read neither, so a given value would name a map or a
+    # depth that played no part in the report
+    code = cli.main(["conjugate", "--kind", "homogeneity", "--p", "3",
+                     "--digits", "5", "--count", "2", *extra])
+    out = capsys.readouterr().out
+    assert code == 2 and len(out.splitlines()) == 1
+    rep = json.loads(out)
+    assert rep["error"] == "PadicDynamicsError"
+    assert rep["message"].startswith("--kind homogeneity reads no")
+    assert all(a in rep["message"] for a in extra if a.startswith("--"))
+
+
+def test_conjugate_config_records_what_the_kind_reads(capsys):
+    base = ["conjugate", "--p", "2", "--digits", "6", "--count", "1"]
+    _, rep = run(capsys, base + ["--kind", "homogeneity"])
+    assert "map" not in rep["config"] and "depth" not in rep["config"]
+    for kind, spec in (("thm1", "shift_zp"), ("thm3", "affine(v=2, w=1)")):
+        argv = base + ["--kind", kind, "--delta", "p^-2"]
+        if kind == "thm3":
+            argv += ["--map", spec]
+        _, rep = run(capsys, argv)
+        assert rep["config"]["map"] == spec and rep["config"]["depth"] == 4
+
+
 @pytest.mark.parametrize("delta", ["0", "p^-7", "p^-9"])
 def test_conjugate_homogeneity_without_room_to_move_exits_two(capsys, delta):
     # at 8 digits a delta of p^-7 or below leaves every z equal to its y
@@ -545,8 +574,8 @@ def _readme_commands():
 def test_readme_commands_exit_zero(capsys):
     commands = _readme_commands()
     assert [argv[0] for argv in commands] == [
-        "shadow", "conjugate", "conjugate", "analyze", "counterexample",
-        "suite"]
+        "shadow", "conjugate", "conjugate", "conjugate", "analyze",
+        "counterexample", "suite"]
     for argv in commands:
         code, rep = run(capsys, argv)
         assert code == 0, argv

@@ -155,14 +155,28 @@ def test_total_digits_and_modulus():
 
 
 def test_context_residues_are_built_once():
-    """residues is range(modulus) as one list, built on first read and
-    kept; reading it changes neither equality nor hash."""
+    """total_digits, modulus and residues (range(modulus) as one list) are
+    each computed on first read and kept; reading them changes neither
+    equality nor hash, and a replaced context computes its own."""
     ctx = PrecisionContext(3, 5, -2, 1, "Qp")
     fresh = PrecisionContext(3, 5, -2, 1, "Qp")
+    names = ("total_digits", "modulus", "residues")
+    assert not set(names) & set(vars(ctx))
+    assert ctx.total_digits == 8 and vars(ctx)["total_digits"] == 8
+    assert "modulus" not in vars(ctx)
+    assert ctx.modulus == 3 ** 8 and vars(ctx)["modulus"] is ctx.modulus
+    assert "residues" not in vars(ctx)
     assert ctx.residues == list(range(3 ** 8))
     assert ctx.residues is ctx.residues
+    assert set(names) <= set(vars(ctx))
     assert ctx == fresh and hash(ctx) == hash(fresh)
+    assert not set(names) & set(vars(fresh))
     assert ctx.residues is not fresh.residues
+    wider = dataclasses.replace(ctx, digit_budget=6)
+    assert (wider.total_digits, wider.modulus) == (9, 3 ** 9)
+    assert len(wider.residues) == 3 ** 9
+    assert (ctx.total_digits, ctx.modulus) == (8, 3 ** 8)
+    assert wider != ctx
 
 
 def test_digit_roundtrip_against_fraction_oracle():
@@ -318,6 +332,15 @@ def test_add_sub_mul_match_fraction_oracle():
             r = op(x, y)
             assert congruent(r.as_fraction(), fop(x.as_fraction(), y.as_fraction()),
                              3, r.known_exp)
+
+
+@pytest.mark.parametrize("op", [add, sub, mul])
+def test_arithmetic_refuses_mixed_primes(op):
+    # digits of different primes encode different numbers
+    x, y = PrecisionContext(3, 4).from_int(5), PrecisionContext(5, 4).from_int(5)
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(AlphabetViolation, match="prime mismatch"):
+            op(a, b)
 
 
 def test_mixed_precision_add_keeps_weakest_bound():
