@@ -6,7 +6,10 @@ Three constructions, all table-based at the context resolution:
   inverses: h(x) = x + z_0(x) from a depth-limited backward recursion
   along the g-orbit of x.  All residues are solved at once by `depth`
   whole-table passes S_0 = id, S_k[x] = R_{i(x)}[S_{k-1}[g[x]]] with
-  i(x) the member covering x, and h = S_depth.  Its inverse runs the same
+  i(x) the member covering x, and h = S_depth.  The passes run over the
+  residues grouped by member (the family's membership_grouping), so each
+  pass is one pair of C-level gathers per member and no per-residue
+  Python work.  Its inverse runs the same
   passes along f with the right inverses transferred from f to
   g = f + phi by transfer_family, the only transfer: R-tilde_i o H_i = R_i
   for H_i = id + phi o R_i, so one scatter writes each value R_i(x) at
@@ -28,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from operator import itemgetter, sub
+from typing import Callable, Optional
 
 from .errors import (
     BadParams,
@@ -54,7 +58,7 @@ class ConjugacyMap:
     @cached_property
     def closeness(self) -> NormValue:
         """max |h(x) - x| over the residues x, computed when first read."""
-        return self.ctx.max_norm([y - x for x, y in enumerate(self.table)])
+        return self.ctx.max_norm(map(sub, self.table, self.ctx.residues))
 
     def __call__(self, m: int) -> int:
         return self.table[m]
@@ -133,22 +137,47 @@ def _require_delta_small(family: RightInverseFamily, delta: NormValue) -> None:
             f"need delta < {r - 1} for contraction rate {family.lip_upper}")
 
 
+def _gather(keys) -> Callable:
+    """itemgetter(*keys) that returns a tuple also for a single key."""
+    if len(keys) == 1:
+        key, = keys
+        return lambda seq: (seq[key],)
+    return itemgetter(*keys)
+
+
 def _backward_passes(step: list, family: RightInverseFamily, tables: list,
                      depth: int) -> list:
     """x + z_0(x) for every residue x, z_0 from the depth-`depth` backward
     recursion along step-orbits: S_0 = id, S_k[x] = R_{i(x)}[S_{k-1}[step[x]]]
-    with R_i's table tables[i] and i(x) = family.membership(x), read from
-    the family's membership table.
+    with R_i's table tables[i] and i(x) = family.membership(x).
+
+    The passes run in the family's membership-grouped residue order
+    (order, pos) = family.membership_grouping(): S'[j] = S[order[j]], so
+    member i's residues fill one slice c_i of S', and a pass is
+    S'[c_i] = R_i[S'[w_i]] for each member i, with w_i = pos[step[c_i]]:
+    two C-level gathers per member, written into the other of two
+    buffers.  S' starts at order and pos unpermutes it once at the end.
+    Members that cover no residue take no gather.
     """
-    M = len(step)
     idx = family.membership_table()
     if None in idx:
         raise CoveringViolation(
             f"residue {idx.index(None)} is not covered by any right inverse")
-    table = list(range(M))
+    order, pos, counts = family.membership_grouping()
+    gathers = []
+    end = 0
+    for R, n in zip(tables, counts):
+        if n:
+            start, end = end, end + n
+            where = _gather(_gather(order[start:end])(step))(pos)
+            gathers.append((slice(start, end), _gather(where), R))
+    # a copy of order: the passes write into both buffers
+    table, spare = list(order), [None] * len(order)
     for _ in range(depth):
-        table = [tables[i][table[y]] for i, y in zip(idx, step)]
-    return table
+        for cut, get, R in gathers:
+            spare[cut] = _gather(get(table))(R)
+        table, spare = spare, table
+    return list(_gather(pos)(table))
 
 
 def _thm1_tables(f: DynamicMap, family: RightInverseFamily, g: DynamicMap,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import cycle, islice
@@ -509,15 +510,45 @@ class RightInverseFamily:
     membership: Callable[[int], Optional[int]]
     _memberships: Optional[list] = field(default=None, repr=False,
                                          compare=False)
+    _grouping: Optional[tuple] = field(default=None, repr=False,
+                                       compare=False)
 
     def membership_table(self) -> list:
         """membership(x) for every residue x of the members' context,
         computed once per family and shared by every caller, which must
-        not change it."""
+        not change it.  Raises BadParams naming the first residue whose
+        membership is neither None nor a member index."""
         if self._memberships is None:
             M = self.members[0].ctx.modulus
-            self._memberships = [self.membership(x) for x in range(M)]
+            table = [self.membership(x) for x in range(M)]
+            n = len(self.members)
+            stray = set(table).difference(range(n), (None,))
+            if stray:
+                x = next(x for x, i in enumerate(table) if i in stray)
+                raise BadParams(f"membership({x}) = {table[x]!r} is not a "
+                                f"member index 0..{n - 1}")
+            self._memberships = table
         return self._memberships
+
+    def membership_grouping(self) -> tuple:
+        """(order, pos, counts) for a covering family, computed once per
+        family and shared like membership_table.
+
+        order lists the residues stably sorted by membership, so member i
+        covers the counts[i] residues that follow those of members
+        0 .. i-1; pos is its inverse permutation, order[pos[x]] == x.
+        Both lists hold the context's residue ints.  The caller refuses a
+        membership table with None entries first.
+        """
+        if self._grouping is None:
+            idx = self.membership_table()
+            residues = self.members[0].ctx.residues
+            order = sorted(residues, key=idx.__getitem__)
+            pos = sorted(residues, key=order.__getitem__)
+            counts = Counter(idx)
+            self._grouping = (order, pos,
+                              [counts[i] for i in range(len(self.members))])
+        return self._grouping
 
     @property
     def lip_upper(self) -> Fraction:

@@ -2,6 +2,7 @@
 right-inverse transfer (against the pointwise reference), contraction-layer
 conjugacies, and the ball-swap homeomorphism for close proper sequences."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from padic_dynamics.dynamics import (
     shift_right_inverses,
 )
 from padic_dynamics.errors import (
+    BadParams,
     CoveringViolation,
     DeltaTooLarge,
     NonConvergence,
@@ -195,6 +197,87 @@ def test_thm1_tables_match_pointwise_recursion(p, N, k, seed):
             _norm_key(_pointwise_closeness(ctx, ref))
 
 
+def _thin_member_cases():
+    """Families whose members cover one residue or none: the shift at
+    p = 2 and p = 3 with N = 1, unperturbed, and the shift at 2^4 with a
+    duplicate member, at the end or in the middle, that membership never
+    picks."""
+    for p in (2, 3):
+        ctx = PrecisionContext(p, 1)
+        f = builtin_map("shift_zp", ctx)
+        yield f, shift_right_inverses(ctx), f
+    ctx = PrecisionContext(2, 4)
+    f = builtin_map("shift_zp", ctx)
+    r0, r1 = shift_right_inverses(ctx).members
+    g = perturb(f, make_lipschitz_perturbation(ctx, "digit_local",
+                                               NormValue(2, 1), 0))
+    yield f, RightInverseFamily((r0, r1, r1), lambda m: m % 2), g
+    yield f, RightInverseFamily((r0, r0, r1), lambda m: 2 * (m % 2)), g
+
+
+@pytest.mark.parametrize("case", range(4), ids=[
+    "shift-2^1", "shift-3^1", "unpicked-last-2^4", "unpicked-middle-2^4"])
+def test_thm1_tables_match_pointwise_recursion_for_thin_members(case):
+    f, fam, g = list(_thin_member_cases())[case]
+    ctx = f.ctx
+    M = ctx.modulus
+    delta = NormValue(ctx.prime, 1)
+    tfam = _ref_transfer_family(fam, lambda m: (g(m) - f(m)) % M, delta)
+    for depth in range(7):
+        h = build_conjugacy_thm1(f, fam, g, delta, depth)
+        assert h.table == _pointwise_recursion(g, fam, depth)
+        hinv = build_inverse_conjugacy_thm1(f, fam, g, delta, depth)
+        assert hinv.table == _pointwise_recursion(f, tfam, depth)
+    assert min(fam.membership_grouping()[2]) <= 1
+
+
+def _pinned_shift():
+    ctx = PrecisionContext(3, 10)
+    return (builtin_map("shift_zp", ctx), shift_right_inverses(ctx),
+            NormValue(3, 2))
+
+
+def _pinned_furno():
+    w = bijective_isometry(PrecisionContext(2, 10), "triangular", seed=0)
+    return furno_compose(w, 2), locally_scaling_inverses(w, 2), NormValue(2, 3)
+
+
+@pytest.mark.parametrize("case, digest", [
+    (_pinned_shift,
+     "b6884bd23ee7b231ae31b0f2b057d0762ca9c042388e0ba109c5305bc0894d74"),
+    (_pinned_furno,
+     "f442fe59f83cec105e597011a3bf6b29af52a92cac3b5f8e2a64d1385cc80207"),
+])
+def test_thm1_tables_are_pinned(case, digest):
+    """h and h-tilde of the shift at 3^10 and of furno(k=2) at 2^10
+    (digit_local seed 0, depth 6) hash to fixed digests: the tables stay
+    bit-identical whatever order the passes visit the residues in."""
+    f, fam, delta = case()
+    g = perturb(f, make_lipschitz_perturbation(f.ctx, "digit_local", delta, 0))
+    h = build_conjugacy_thm1(f, fam, g, delta, 6)
+    hinv = build_inverse_conjugacy_thm1(f, fam, g, delta, 6)
+    tables = repr((h.table, hinv.table)).encode()
+    assert hashlib.sha256(tables).hexdigest() == digest
+
+
+def test_thm1_builders_refuse_stray_membership_indices():
+    """A membership index below 0 or past the last member is refused,
+    naming the first such residue, by both builders and every time."""
+    ctx = PrecisionContext(3, 4)
+    f = builtin_map("shift_zp", ctx)
+    fam = shift_right_inverses(ctx)
+    delta = NormValue(3, 2)
+    g = perturb(f, make_lipschitz_perturbation(ctx, "digit_local", delta, 0))
+    for stray, match in (({7: -1}, r"membership\(7\) = -1 "),
+                         ({7: 3}, r"membership\(7\) = 3 "),
+                         ({40: -1, 9: 3}, r"membership\(9\) = 3 ")):
+        bad = RightInverseFamily(
+            fam.members, lambda m, stray=stray: stray.get(m, m % 3))
+        for build in (build_conjugacy_thm1, build_inverse_conjugacy_thm1) * 2:
+            with pytest.raises(BadParams, match=match):
+                build(f, bad, g, delta, 3)
+
+
 def test_thm1_builders_reject_non_covering_family():
     ctx = PrecisionContext(3, 5)
     f = builtin_map("shift_zp", ctx)
@@ -210,10 +293,12 @@ def test_thm1_builders_reject_non_covering_family():
 
 
 def test_thm1_builders_read_membership_once():
-    """Both thm1 builders on two perturbations share one membership table:
-    membership runs once per residue, and the conjugacies equal those
-    built with a fresh family each time.  A family that misses residues
-    is refused, naming the first one, also once its table is shared."""
+    """Both thm1 builders on two perturbations share one membership table
+    and one grouped residue order: membership runs once per residue, the
+    grouping is built by the first build and kept, and the conjugacies
+    equal those built with a fresh family each time.  A family that
+    misses residues is refused, naming the first one, also once its
+    table is shared."""
     ctx = PrecisionContext(3, 5)
     f = builtin_map("shift_zp", ctx)
     fam = shift_right_inverses(ctx)
@@ -221,6 +306,8 @@ def test_thm1_builders_read_membership_once():
     counted = RightInverseFamily(
         fam.members, lambda m: calls.append(m) or fam.membership(m))
     delta = NormValue(3, 2)
+    assert counted._grouping is None
+    groupings = []
     for seed in (0, 1):
         phi = make_lipschitz_perturbation(ctx, "digit_local", delta, seed)
         g = perturb(f, phi)
@@ -228,7 +315,14 @@ def test_thm1_builders_read_membership_once():
             fresh = RightInverseFamily(fam.members, fam.membership)
             assert build(f, counted, g, delta, 3).table == \
                 build(f, fresh, g, delta, 3).table
+            groupings.append(counted._grouping)
     assert calls == list(range(ctx.modulus))
+    order, pos, counts = grouping = counted.membership_grouping()
+    assert all(x is grouping for x in groupings)
+    assert counts == [81, 81, 81]
+    assert order == sorted(range(ctx.modulus), key=lambda x: x % 3)
+    assert [order[j] for j in pos] == list(range(ctx.modulus))
+    assert all(x is ctx.residues[x] for x in order + pos)
     partial = RightInverseFamily(
         fam.members, lambda m: None if m in (100, 200) else m % 3)
     for build in (build_conjugacy_thm1, build_inverse_conjugacy_thm1) * 2:
