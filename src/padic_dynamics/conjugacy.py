@@ -281,7 +281,9 @@ def build_conjugacy_thm3(R: DynamicMap, T: DynamicMap, depth: int,
     supplied).  h is filled in layer order: the identity on the image
     complement U, h(x) = R(h(parent(x))) on each deeper layer, so a layer-n
     point goes to R^n of its parent chain's root in U, and every core
-    point goes to the fixed point of R.
+    point goes to the fixed point of R.  h starts as a copy of ctx.residues
+    and every later write is a value of R's table, so h makes no int
+    objects of its own.
     """
     ctx = R.ctx
     if R.lip_lower is None:
@@ -293,7 +295,7 @@ def build_conjugacy_thm3(R: DynamicMap, T: DynamicMap, depth: int,
         raise DeltaTooLarge("need p * delta <= image openness radius")
     part = partition_contraction_domain(T, depth)
     rt, parent = R.tabulate(), part.parent
-    table = list(range(ctx.modulus))
+    table = list(ctx.residues)
     for layer in part.layers[1:]:
         for x in layer:
             table[x] = rt[table[parent[x]]]
@@ -314,7 +316,8 @@ def homogeneity_homeomorphism(ctx: PrecisionContext, ys: list, zs: list,
     Both sequences must be proper (pairwise distinct at resolution) and
     pointwise within delta of each other.  Each step swaps the smallest
     pair of disjoint balls around the current image and the target that
-    avoids every already-placed target.
+    avoids every already-placed target.  The table holds ctx.residues'
+    int objects.
     """
     p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
     if M > ctx.ball_budget:
@@ -329,7 +332,8 @@ def homogeneity_homeomorphism(ctx: PrecisionContext, ys: list, zs: list,
         if ctx.norm_of_int(y - z) >= delta:
             raise NotClose(f"|y - z| not below delta for pair ({y}, {z})")
 
-    table = list(range(M))
+    res = ctx.residues
+    table = list(res)
     placed = []
     for y, z in zip(ys, zs):
         w = table[y]
@@ -347,8 +351,8 @@ def homogeneity_homeomorphism(ctx: PrecisionContext, ys: list, zs: list,
         for x in range(M):
             t = table[x]
             if (t - w) % pj == 0:
-                table[x] = (t + shift) % M
+                table[x] = res[(t + shift) % M]
             elif (t - z) % pj == 0:
-                table[x] = (t - shift) % M
+                table[x] = res[(t - shift) % M]
         placed.append(z)
     return ConjugacyMap(ctx, table)

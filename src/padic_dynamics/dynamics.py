@@ -69,7 +69,9 @@ class DynamicMap:
         A periodic (`_lookup`) map repeats its short table and keeps those
         objects.  Any other map's values must lie in [0, modulus)
         (BadParams otherwise) and are taken from ctx.residues, so that the
-        tables of one context share one set of int objects.
+        tables of one context share one set of int objects; perturb's
+        tables and the Theorem 3 and homogeneity conjugacies take theirs
+        from the same list.
         """
         if self._table is None:
             ctx = self.ctx
@@ -467,11 +469,12 @@ def perturb(f: DynamicMap, phi: LipschitzPerturbation) -> DynamicMap:
     """The perturbed map f + phi (pointwise sum in the context ring).
 
     When the context is tabulable, g comes with its table, f's table plus
-    phi's values in one pass; phi's values are streamed from its own table,
-    from the repeated short table of a periodic (`_lookup`) phi, or from
-    its function, so no table is left on phi.  A partial f (one that
-    raises WindowViolation somewhere) leaves g pointwise, as above the
-    ball budget.
+    phi's values in one pass whose sums are taken from ctx.residues, so
+    g's table makes no int objects of its own; phi's values are streamed
+    from its own table, from the repeated short table of a periodic
+    (`_lookup`) phi, or from its function, so no table is left on phi.  A
+    partial f (one that raises WindowViolation somewhere) leaves g
+    pointwise, as above the ball budget.
     """
     if f.ctx != phi.map.ctx:
         raise BadParams("perturbation context mismatch")
@@ -485,8 +488,10 @@ def perturb(f: DynamicMap, phi: LipschitzPerturbation) -> DynamicMap:
         max(f.precision_loss, phi.map.precision_loss), lip, None)
     if M <= f.ctx.ball_budget:
         phi_values, _ = _residue_values(phi.map)
+        res = f.ctx.residues
         try:
-            g._table = [(a + b) % M for a, b in zip(f.tabulate(), phi_values)]
+            g._table = [res[(a + b) % M]
+                        for a, b in zip(f.tabulate(), phi_values)]
         except WindowViolation:
             pass
     return g
@@ -521,14 +526,19 @@ class RightInverseFamily:
         if self._memberships is None:
             M = self.members[0].ctx.modulus
             table = [self.membership(x) for x in range(M)]
-            n = len(self.members)
-            stray = set(table).difference(range(n), (None,))
-            if stray:
-                x = next(x for x, i in enumerate(table) if i in stray)
-                raise BadParams(f"membership({x}) = {table[x]!r} is not a "
-                                f"member index 0..{n - 1}")
+            self.refuse_stray_indices(range(M), table)
             self._memberships = table
         return self._memberships
+
+    def refuse_stray_indices(self, xs, indices: list) -> None:
+        """Raise BadParams naming the first x in xs whose membership, the
+        matching entry of indices, is neither None nor a member index."""
+        n = len(self.members)
+        stray = set(indices).difference(range(n), (None,))
+        if stray:
+            x, i = next((x, i) for x, i in zip(xs, indices) if i in stray)
+            raise BadParams(f"membership({x}) = {i!r} is not a member "
+                            f"index 0..{n - 1}")
 
     def membership_grouping(self) -> tuple:
         """(order, pos, counts) for a covering family, computed once per

@@ -77,7 +77,8 @@ def solve_shadowing(f: DynamicMap, family: RightInverseFamily,
     The recursion itself is exact at the context resolution regardless of
     the map's per-step precision loss, so no digit gate is applied to the
     orbit length; certified_digits reports how far forward iteration of f
-    itself stays certified.
+    itself stays certified.  An orbit point whose membership names no
+    member raises BadParams, checked once on all the indices.
     """
     ctx = orbit.ctx
     M = ctx.modulus
@@ -91,6 +92,7 @@ def solve_shadowing(f: DynamicMap, family: RightInverseFamily,
             raise CoveringViolation(
                 f"no right inverse covers orbit point at step {n}")
         indices.append(i)
+    family.refuse_stray_indices(pts, indices)
 
     # one evaluator per member, read once: steps skip DynamicMap.__call__
     inverses = [R.evaluator() for R in family.members]

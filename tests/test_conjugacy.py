@@ -661,6 +661,48 @@ def test_thm3_scaled_isometry_contraction():
     assert rep.max_defect.is_zero and rep.injective
 
 
+# the three contractions of the benchmark's Theorem 3 certificates
+_CONTRACTIONS = [
+    ("affine", {"v": 3, "w": 1}),
+    ("scaled_isometry", {"m": 1, "iso": "triangular", "seed": 4}),
+    ("scaled_isometry", {"m": 2, "iso": "alphabet", "seed": 9, "c": 2})]
+
+
+@pytest.mark.parametrize("name, params", _CONTRACTIONS)
+def test_thm3_tables_make_no_ints(name, params):
+    """Every value of a thm3 h is one of ctx.residues' objects or one of
+    R's table values (a periodic R keeps its short table's objects); at
+    3^6 most values lie above the interpreter's small-int cache."""
+    ctx = PrecisionContext(3, 6)
+    residues = ctx.residues
+    R = builtin_map(name, ctx, **params)
+    own = {id(v) for v in residues} | {id(v) for v in R.tabulate()}
+    delta = NormValue(3, 3)
+    for seed in range(3):
+        T = perturb(R, make_lipschitz_perturbation(ctx, "digit_local", delta,
+                                                   seed))
+        h = build_conjugacy_thm3(R, T, ctx.total_digits, delta)
+        assert all(id(v) in own for v in h.table)
+        if not hasattr(R.fn, "short"):
+            assert all(v is residues[v] for v in h.table)
+
+
+@pytest.mark.parametrize("name, params, digest", [
+    (*case, digest) for case, digest in zip(_CONTRACTIONS, [
+        "2242ae7a94fc18f3331172c4901464b0d7cef4e946d9579b7dcea32bb4caebe7",
+        "bbc3c51758d4bc11d656ff3b32e9ea258e63b693c830d164613cb17e7795fc6b",
+        "48c8b914e9d908f7844eb1bd5f7a81902a9231b112e8df4c6d9c2ce3fe331971"])])
+def test_thm3_tables_are_pinned(name, params, digest):
+    """h for each contraction at 3^10 under T = R + phi (digit_local seed
+    0, delta = 3^-3, depth 10) hashes to a fixed digest."""
+    ctx = PrecisionContext(3, 10)
+    delta = NormValue(3, 3)
+    R = builtin_map(name, ctx, **params)
+    T = perturb(R, make_lipschitz_perturbation(ctx, "digit_local", delta, 0))
+    h = build_conjugacy_thm3(R, T, 10, delta)
+    assert hashlib.sha256(repr(h.table).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("ctx", [
     PrecisionContext(3, 4, -2, 1, "Qp"), PrecisionContext(2, 6, -3, 2, "Qp")],
     ids=lambda ctx: f"Qp{ctx.prime}")
@@ -712,6 +754,20 @@ def test_homogeneity_matches_sequences():
         for y, z in zip(ys, zs):
             assert phi(y) == z
         assert phi.closeness.as_fraction() < 3 * delta.as_fraction()
+
+
+def test_homogeneity_tables_make_no_ints():
+    """The swap product's table holds ctx.residues' objects; at 3^7 most
+    values lie above the interpreter's small-int cache."""
+    ctx = PrecisionContext(3, 7)
+    residues = ctx.residues
+    rng = random.Random(5)
+    ys = rng.sample(range(ctx.modulus), 6)
+    zs = [(y + 27 * rng.randrange(1, 81)) % ctx.modulus for y in ys]
+    phi = homogeneity_homeomorphism(ctx, ys, zs, NormValue(3, 2))
+    assert [phi(y) for y in ys] == zs
+    assert phi.table != residues
+    assert all(v is residues[v] for v in phi.table)
 
 
 def test_homogeneity_identity_when_sequences_equal():

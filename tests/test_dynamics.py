@@ -634,12 +634,14 @@ def test_perturb_of_partial_map_stays_pointwise():
 
 def _non_periodic_maps():
     """Catalog maps that are not periodic lookups, at M = 729 residues,
-    so that most values lie above the interpreter's small-int cache."""
+    so that most values lie above the interpreter's small-int cache; the
+    perturbed maps take phi from its function and from a periodic table."""
     ctx = PrecisionContext(3, 6)
     w = bijective_isometry(ctx, "triangular", seed=2)
     affine = builtin_map("affine", ctx, v=3, w=1)
     scaled = builtin_map("scaled_isometry", ctx, m=2, iso="alphabet", seed=9)
     const = make_lipschitz_perturbation(ctx, "constant", NormValue(3, 2), c=9)
+    local = make_lipschitz_perturbation(ctx, "digit_local", NormValue(3, 2), 7)
     return [
         identity_map(ctx), builtin_map("shift_zp", ctx), affine,
         builtin_map("example2_R", ctx), builtin_map("example2_L", ctx),
@@ -648,6 +650,7 @@ def _non_periodic_maps():
         *shift_right_inverses(ctx).members,
         *locally_scaling_inverses(w, 1).members, furno_compose(w, 1),
         left_inverse_for(affine), left_inverse_for(scaled), const.map,
+        perturb(affine, const), perturb(scaled, local),
         builtin_map("rho_open_Ra", PrecisionContext(3, 4, -1, 1, "Qp"), a=1),
     ]
 

@@ -12,6 +12,7 @@ from padic_dynamics.counterexample import (
 )
 from padic_dynamics.dynamics import (
     DynamicMap,
+    RightInverseFamily,
     bijective_isometry,
     builtin_map,
     furno_compose,
@@ -21,6 +22,7 @@ from padic_dynamics.dynamics import (
     shift_right_inverses,
 )
 from padic_dynamics.errors import (
+    BadParams,
     BudgetExceeded,
     CoveringViolation,
     DeltaTooSmall,
@@ -321,6 +323,23 @@ def test_covering_violation_reported_with_step():
     orbit = PseudoOrbit(ctx, (uncovered, 1), NormValue(3, 1))
     with pytest.raises(CoveringViolation):
         solve_shadowing(f, fam, orbit)
+
+
+@pytest.mark.parametrize("stray", [-1, 3], ids=["-1", "len(members)"])
+@pytest.mark.parametrize("step", [0, 4])
+def test_solver_refuses_stray_membership_indices(stray, step):
+    """A membership index that names no member is refused with BadParams,
+    naming the orbit point, as membership_table refuses it."""
+    ctx = PrecisionContext(3, 5)
+    f = builtin_map("shift_zp", ctx)
+    fam = shift_right_inverses(ctx)
+    orbit = random_pseudo_orbit(f, NormValue(3, 2), 10, 0)
+    x = orbit.points[step]
+    bad = RightInverseFamily(
+        fam.members, lambda m: stray if m == x else fam.membership(m))
+    with pytest.raises(BadParams, match=rf"membership\({x}\) = {stray} "
+                                        r"is not a member index 0\.\.2"):
+        solve_shadowing(f, bad, orbit)
 
 
 def test_forward_cert_gate_is_opt_in():
