@@ -56,9 +56,9 @@ _PARAM_SPLIT = re.compile(r",(?=\s*[A-Za-z_][A-Za-z0-9_]*=)")
 def parse_map_spec(text: str):
     """Split ``name(k=v, ...)`` into (name, params dict).
 
-    Values may be integers, p-power norms (``p^-2``) or canonical p-adic
-    literals (``p:3;u:0;d:1,2``); the p-adic digit commas are handled by
-    splitting only before ``key=`` boundaries.
+    Values are integers, canonical p-adic literals (``p:3;u:0;d:1,2``) or
+    names (``iso=alphabet``), kept as text; the p-adic digit commas are
+    handled by splitting only before ``key=`` boundaries.
     """
     m = _SPEC_RE.match(text)
     if not m:
@@ -86,9 +86,10 @@ def build_map(spec: str, ctx: PrecisionContext):
     """Instantiate a catalog map (or a furno composition) from a spec string."""
     name, params = parse_map_spec(spec)
     if name == "furno":
-        k = int(params.pop("k", 1))
-        iso = params.pop("iso", "triangular")
-        seed = int(params.pop("seed", 0))
+        dynamics.refuse_unknown_params(name, params, ("k", "iso", "seed"))
+        k = int(params.get("k", 1))
+        iso = params.get("iso", "triangular")
+        seed = int(params.get("seed", 0))
         w = dynamics.bijective_isometry(ctx, iso, seed)
         return dynamics.furno_compose(w, k), dynamics.locally_scaling_inverses(w, k)
     f = dynamics.builtin_map(name, ctx, **params)

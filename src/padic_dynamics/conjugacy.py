@@ -37,7 +37,6 @@ from typing import Callable, Optional
 from .errors import (
     BadParams,
     BudgetExceeded,
-    CoveringViolation,
     DeltaTooLarge,
     NonConvergence,
     NotClose,
@@ -159,10 +158,6 @@ def _backward_passes(step: list, family: RightInverseFamily, tables: list,
     buffers.  S' starts at order and pos unpermutes it once at the end.
     Members that cover no residue take no gather.
     """
-    idx = family.membership_table()
-    if None in idx:
-        raise CoveringViolation(
-            f"residue {idx.index(None)} is not covered by any right inverse")
     order, pos, counts = family.membership_grouping()
     gathers = []
     end = 0

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
@@ -50,7 +49,7 @@ from .errors import (
     DepthInsufficient,
     NoWitnessFound,
 )
-from .dynamics import DynamicMap, RightInverseFamily
+from .dynamics import DynamicMap, RightInverseFamily, digit_branch_family
 from .padic import NormValue, PrecisionContext
 from .shadowing import PseudoOrbit, brute_force_shadow, verify_pseudo_orbit
 
@@ -467,21 +466,7 @@ def build_thm2_map(ctx: PrecisionContext, s_table: list) -> DynamicMap:
 
 def thm2_right_inverses(ctx: PrecisionContext) -> RightInverseFamily:
     """R_a(x) = a + p**2 x for a = 1..p-1; jointly non-covering."""
-    p, M = ctx.prime, ctx.modulus
-    p2 = p * p
-    members = tuple(
-        DynamicMap(f"R[{a}]", ctx, lambda m, a=a, p2=p2, M=M: (a + p2 * m) % M,
-                   0, Fraction(1, p2), Fraction(1, p2), {"a": a})
-        for a in range(1, p))
-
-    def membership(m, p=p):
-        a = m % p
-        b = (m // p) % p
-        if a != 0 and b == 0:
-            return a - 1
-        return None
-
-    return RightInverseFamily(members, membership)
+    return digit_branch_family(ctx, 2, range(1, ctx.prime))
 
 
 def covered_residue_count(ctx: PrecisionContext) -> int:

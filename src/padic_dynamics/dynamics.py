@@ -20,6 +20,7 @@ from typing import Callable, Optional
 from .errors import (
     BadParams,
     BudgetExceeded,
+    CoveringViolation,
     DeltaTooSmall,
     NotBijective,
     NotIsometry,
@@ -253,8 +254,28 @@ def check_isometry(w: DynamicMap) -> None:
 # builtin catalog
 # ---------------------------------------------------------------------------
 
+# each catalog map's parameter names
+CATALOG_PARAMS = {
+    "shift_zp": (), "shift_qp": (), "affine": ("v", "w"),
+    "scaled_isometry": ("m", "iso", "seed", "c"), "example2_R": (),
+    "example2_L": (), "example2_phi_n": ("n",), "rho_open_Ra": ("a",),
+    "remark2_uvw": ("u", "v", "w"),
+}
+
+
+def refuse_unknown_params(name: str, params, known) -> None:
+    """BadParams naming the parameters of `params` that `name` does not
+    take, so a misspelled one is not silently dropped."""
+    unknown = sorted(set(params).difference(known))
+    if unknown:
+        raise BadParams(f"{name} takes no parameter {', '.join(unknown)}; "
+                        f"it takes {', '.join(known) or 'none'}")
+
+
 def builtin_map(name: str, ctx: PrecisionContext, **params) -> DynamicMap:
-    """Construct a catalog map by name under the given context."""
+    """A catalog map by name under ctx; BadParams for a parameter it lacks."""
+    if name in CATALOG_PARAMS:
+        refuse_unknown_params(name, params, CATALOG_PARAMS[name])
     p, D, M = ctx.prime, ctx.total_digits, ctx.modulus
     W = -ctx.u_min  # number of fractional digit positions
 
@@ -372,29 +393,6 @@ def builtin_map(name: str, ctx: PrecisionContext, **params) -> DynamicMap:
 
         return DynamicMap("remark2_uvw", ctx, fn, 0, _pow_norm(p, vu),
                           _pow_norm(p, vv), {"u": u, "v": v, "w": w})
-
-    if name == "thm1_qp_example":
-        if ctx.space_tag != "Qp":
-            raise BadParams("thm1_qp_example needs a Qp context")
-
-        # integer-part digit a_i feeds both sums; both are taken over the
-        # displayed ranges (first over i >= 0, second over i >= 2).
-        def fn(m, p=p, W=W, D=D, M=M):
-            out = 0
-            for i in range(D - W):
-                a = _digit(m, p, W + i)
-                if not a:
-                    continue
-                lowpos = W - 1 - i        # exponent -(i+1), scaled position
-                if lowpos < 0:
-                    raise WindowViolation(
-                        "low-exponent term falls below the window")
-                out += a * p ** lowpos
-                if i >= 2:
-                    out += a * p ** (W + i - 2)
-            return out % M
-
-        return DynamicMap("thm1_qp_example", ctx, fn, 2, Fraction(p))
 
     raise UnknownMap(f"no catalog map named {name!r}")
 
@@ -518,37 +516,40 @@ class RightInverseFamily:
     _grouping: Optional[tuple] = field(default=None, repr=False,
                                        compare=False)
 
-    def membership_table(self) -> list:
-        """membership(x) for every residue x of the members' context,
-        computed once per family and shared by every caller, which must
-        not change it.  Raises BadParams naming the first residue whose
-        membership is neither None nor a member index."""
-        if self._memberships is None:
-            M = self.members[0].ctx.modulus
-            table = [self.membership(x) for x in range(M)]
-            self.refuse_stray_indices(range(M), table)
-            self._memberships = table
-        return self._memberships
-
-    def refuse_stray_indices(self, xs, indices: list) -> None:
-        """Raise BadParams naming the first x in xs whose membership, the
-        matching entry of indices, is neither None nor a member index."""
+    def indices(self, xs) -> list:
+        """membership(x) for every x in xs, each a member index.  Raises
+        CoveringViolation naming the first x that no member covers, or
+        BadParams naming the first x whose index names no member,
+        whichever comes first in xs."""
+        idx = list(map(self.membership, xs))
         n = len(self.members)
-        stray = set(indices).difference(range(n), (None,))
-        if stray:
-            x, i = next((x, i) for x, i in zip(xs, indices) if i in stray)
+        if set(idx).difference(range(n)):
+            x, i = next((x, i) for x, i in zip(xs, idx)
+                        if i not in range(n))
+            if i is None:
+                raise CoveringViolation(
+                    f"residue {x} is not covered by any right inverse")
             raise BadParams(f"membership({x}) = {i!r} is not a member "
                             f"index 0..{n - 1}")
+        return idx
+
+    def membership_table(self) -> list:
+        """indices() of every residue of the members' context, computed
+        once per family and shared by every caller, which must not change
+        it."""
+        if self._memberships is None:
+            M = self.members[0].ctx.modulus
+            self._memberships = self.indices(range(M))
+        return self._memberships
 
     def membership_grouping(self) -> tuple:
-        """(order, pos, counts) for a covering family, computed once per
-        family and shared like membership_table.
+        """(order, pos, counts), computed once per family and shared like
+        membership_table.
 
         order lists the residues stably sorted by membership, so member i
         covers the counts[i] residues that follow those of members
         0 .. i-1; pos is its inverse permutation, order[pos[x]] == x.
-        Both lists hold the context's residue ints.  The caller refuses a
-        membership table with None entries first.
+        Both lists hold the context's residue ints.
         """
         if self._grouping is None:
             idx = self.membership_table()
@@ -562,21 +563,48 @@ class RightInverseFamily:
 
     @property
     def lip_upper(self) -> Fraction:
-        """The largest declared Lipschitz bound among the members."""
+        """The largest declared Lipschitz bound among the members;
+        BadParams names a member that declares none."""
+        for R in self.members:
+            if R.lip_upper is None:
+                raise BadParams(f"right inverse {R.name} declares no "
+                                "Lipschitz bound")
         return max(R.lip_upper for R in self.members)
 
     def __len__(self):
         return len(self.members)
 
 
+def digit_branch_family(ctx: PrecisionContext, k: int, labels,
+                        w: Optional[DynamicMap] = None) -> RightInverseFamily:
+    """The right inverses R_a(x) = w^-1(a + p**k x), one per label a in
+    [0, p**k), each declared to scale distances by exactly p**-k.
+
+    membership(x) is the position of w(x) mod p**k among the labels, or
+    None.  w is a bijective isometry, read through its table; with w None
+    it is the identity, and neither a table nor ctx.residues is read.
+    """
+    pk, M = ctx.prime ** k, ctx.modulus
+    position = {a: i for i, a in enumerate(labels)}
+    short = [position.get(r) for r in range(pk)]
+    if w is None:
+        membership = lambda m, t=short, pk=pk: t[m % pk]
+        branch = lambda a: lambda m: (a + pk * m) % M
+    else:
+        table = w.tabulate()
+        inv = _inverse_permutation(table)
+        membership = lambda m, t=short, w=table, pk=pk: t[w[m] % pk]
+        branch = lambda a: lambda m: inv[(a + pk * m) % M]
+    rate = Fraction(1, pk)
+    members = tuple(DynamicMap(f"R[{a}]", ctx, branch(a), 0, rate, rate,
+                               {"a": a})
+                    for a in labels)
+    return RightInverseFamily(members, membership)
+
+
 def shift_right_inverses(ctx: PrecisionContext) -> RightInverseFamily:
     """The p right inverses R_i(x) = i + p*x of the one-sided shift."""
-    p, M = ctx.prime, ctx.modulus
-    members = tuple(
-        DynamicMap(f"R[{i}]", ctx, lambda m, i=i, p=p, M=M: (i + p * m) % M,
-                   0, Fraction(1, p), Fraction(1, p), {"i": i})
-        for i in range(p))
-    return RightInverseFamily(members, lambda m, p=p: m % p)
+    return digit_branch_family(ctx, 1, range(ctx.prime))
 
 
 def furno_compose(w: DynamicMap, k: int) -> DynamicMap:
@@ -599,17 +627,7 @@ def locally_scaling_inverses(w: DynamicMap, k: int) -> RightInverseFamily:
     integer a < p**k encodes the digit word (a1..ak) with a1 the lowest
     digit; membership is read off the first k digits of w(x).
     """
-    ctx = w.ctx
-    p, M = ctx.prime, ctx.modulus
-    pk = p ** k
-    table = w.tabulate()
-    inv = _inverse_permutation(table)
-    members = tuple(
-        DynamicMap(f"R[{a}]", ctx,
-                   lambda m, a=a, pk=pk, inv=inv, M=M: inv[(a + pk * m) % M],
-                   0, Fraction(1, pk), Fraction(1, pk), {"a": a})
-        for a in range(pk))
-    return RightInverseFamily(members, lambda m, pk=pk, table=table: table[m] % pk)
+    return digit_branch_family(w.ctx, k, range(w.ctx.prime ** k), w)
 
 
 def left_inverse_for(R: DynamicMap) -> DynamicMap:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, CoveringViolation, DeltaTooSmall
+from .errors import BudgetExceeded, DeltaTooSmall
 from .dynamics import DynamicMap, RightInverseFamily
 from .padic import NormValue, PrecisionContext, norm_zero, valuation
 
@@ -77,22 +77,15 @@ def solve_shadowing(f: DynamicMap, family: RightInverseFamily,
     The recursion itself is exact at the context resolution regardless of
     the map's per-step precision loss, so no digit gate is applied to the
     orbit length; certified_digits reports how far forward iteration of f
-    itself stays certified.  An orbit point whose membership names no
-    member raises BadParams, checked once on all the indices.
+    itself stays certified.  The indices of the orbit points come from
+    family.indices, which refuses a point that no member covers.
     """
     ctx = orbit.ctx
     M = ctx.modulus
     pts = orbit.points
     L = len(pts) - 1
 
-    indices = []
-    for n in range(L):
-        i = family.membership(pts[n])
-        if i is None:
-            raise CoveringViolation(
-                f"no right inverse covers orbit point at step {n}")
-        indices.append(i)
-    family.refuse_stray_indices(pts, indices)
+    indices = family.indices(pts[:L])
 
     # one evaluator per member, read once: steps skip DynamicMap.__call__
     inverses = [R.evaluator() for R in family.members]

@@ -390,6 +390,20 @@ def test_bad_map_name_exits_two(capsys):
     assert rep["error"] == "UnknownMap"
 
 
+@pytest.mark.parametrize("spec, param", [
+    ("furno(k=2, sed=7)", "sed"),
+    ("affine(v=3, ww=1)", "ww"),
+])
+def test_misspelled_map_parameter_exits_two(capsys, spec, param):
+    # a misspelled parameter used to be dropped: furno(k=2, sed=7) ran
+    # with seed 0 and exited 0
+    code, rep = run(capsys, ["analyze", "--p", "2", "--digits", "6",
+                             "--map", spec])
+    assert code == 2
+    assert rep["error"] == "BadParams"
+    assert f"takes no parameter {param};" in rep["message"]
+
+
 @pytest.mark.parametrize("window", ["1", "a:b", "1:2:3"])
 def test_bad_window_exits_two(capsys, window):
     code, rep = run(capsys, ["analyze", "--p", "3", "--digits", "4",

@@ -278,6 +278,24 @@ def test_thm1_builders_refuse_stray_membership_indices():
                 build(f, bad, g, delta, 3)
 
 
+@pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+def test_thm1_builders_refuse_a_member_without_a_declared_bound(where):
+    """A member that declares no Lipschitz bound is refused by name; the
+    contraction rate used to crash comparing a Fraction with None."""
+    ctx = PrecisionContext(3, 4)
+    f = builtin_map("shift_zp", ctx)
+    fam = shift_right_inverses(ctx)
+    members = list(fam.members)
+    members[where] = DynamicMap("unbounded", ctx, members[where].fn)
+    bad = RightInverseFamily(tuple(members), fam.membership)
+    delta = NormValue(3, 2)
+    g = perturb(f, make_lipschitz_perturbation(ctx, "digit_local", delta, 0))
+    for build in (build_conjugacy_thm1, build_inverse_conjugacy_thm1):
+        with pytest.raises(BadParams, match="right inverse unbounded "
+                                            "declares no Lipschitz bound"):
+            build(f, bad, g, delta, 3)
+
+
 def test_thm1_builders_reject_non_covering_family():
     ctx = PrecisionContext(3, 5)
     f = builtin_map("shift_zp", ctx)

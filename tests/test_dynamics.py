@@ -7,7 +7,9 @@ from itertools import cycle
 
 import pytest
 
+from padic_dynamics.counterexample import thm2_right_inverses
 from padic_dynamics.dynamics import (
+    CATALOG_PARAMS,
     DynamicMap,
     RightInverseFamily,
     bijective_isometry,
@@ -275,6 +277,65 @@ def test_membership_table_is_pointwise_and_built_once():
         assert table == [fam.membership(x) for x in range(ctx.modulus)]
         assert counted.membership_table() is table
         assert calls == list(range(ctx.modulus))
+
+
+def _closed_form_families(ctx):
+    """(family, rate, member tables, membership table), the tables from
+    the closed forms the catalog families were written in by hand: the
+    shift, the non-covering Theorem 2 family, and furno's at k = 1 and 2
+    through a triangular and an alphabet isometry."""
+    p, M = ctx.prime, ctx.modulus
+    xs = range(M)
+    yield (shift_right_inverses(ctx), Fraction(1, p),
+           [[(i + p * m) % M for m in xs] for i in range(p)],
+           [m % p for m in xs])
+    yield (thm2_right_inverses(ctx), Fraction(1, p * p),
+           [[(a + p * p * m) % M for m in xs] for a in range(1, p)],
+           [m % p - 1 if m % p and not (m // p) % p else None for m in xs])
+    for kind in ("triangular", "alphabet"):
+        w = bijective_isometry(ctx, kind, seed=5)
+        table = w.tabulate()
+        inv = [0] * M
+        for m, im in enumerate(table):
+            inv[im] = m
+        for k in (1, 2):
+            pk = p ** k
+            yield (locally_scaling_inverses(w, k), Fraction(1, pk),
+                   [[inv[(a + pk * m) % M] for m in xs] for a in range(pk)],
+                   [table[m] % pk for m in xs])
+
+
+@pytest.mark.parametrize("p, digits", [(2, 8), (3, 6), (5, 4)])
+def test_catalog_families_match_their_closed_forms(p, digits):
+    """Every catalog family built by digit_branch_family has the member
+    tables, declared rates and membership of its hand-written form."""
+    ctx = PrecisionContext(p, digits)
+    cases = list(_closed_form_families(ctx))
+    assert len(cases) == 6
+    for fam, rate, tables, memberships in cases:
+        assert [R.tabulate() for R in fam.members] == tables
+        assert all(R.lip_upper == R.lip_lower == rate for R in fam.members)
+        assert [fam.membership(x) for x in range(ctx.modulus)] == memberships
+
+
+def test_families_without_isometry_read_no_table():
+    """The shift and Theorem 2 families read x mod p**k directly: building
+    them and reading every membership tabulates no map and leaves the
+    context's residue list unbuilt."""
+    ctx = PrecisionContext(3, 6)
+    shift, thm2 = shift_right_inverses(ctx), thm2_right_inverses(ctx)
+    shift.membership_table()
+    list(map(thm2.membership, range(ctx.modulus)))
+    assert all(R._table is None for R in shift.members + thm2.members)
+    assert "residues" not in vars(ctx)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+def test_catalog_maps_refuse_unknown_parameters(name):
+    """A parameter a catalog map does not take is refused, not dropped,
+    before the map checks its context."""
+    with pytest.raises(BadParams, match=f"{name} takes no parameter zz;"):
+        builtin_map(name, PrecisionContext(3, 4), zz=1)
 
 
 def test_furno_reduces_to_shift_for_identity_isometry():

@@ -4,6 +4,10 @@ import random
 
 import pytest
 
+from padic_dynamics.conjugacy import (
+    build_conjugacy_thm1,
+    build_inverse_conjugacy_thm1,
+)
 from padic_dynamics.counterexample import (
     build_cantor_chart,
     build_thm2_map,
@@ -314,15 +318,24 @@ def test_solver_and_oracle_step_maps_without_call(monkeypatch):
     assert all(R._table is None for R in family.members)
 
 
-def test_covering_violation_reported_with_step():
-    # the non-covering family leaves residues with membership None
+def test_solver_and_builders_name_the_uncovered_residue():
+    """The non-covering Theorem 2 family leaves residue 0 uncovered: the
+    solver on an orbit from 0 and both thm1 builders raise the same
+    CoveringViolation, naming it."""
     ctx = PrecisionContext(3, 5)
     fam = thm2_right_inverses(ctx)
     f = builtin_map("shift_zp", ctx)       # any map; membership decides
-    uncovered = 0                          # a = 0 residue: not covered
-    orbit = PseudoOrbit(ctx, (uncovered, 1), NormValue(3, 1))
-    with pytest.raises(CoveringViolation):
-        solve_shadowing(f, fam, orbit)
+    delta = NormValue(3, 2)
+    g = perturb(f, make_lipschitz_perturbation(ctx, "digit_local", delta, 0))
+    messages = set()
+    with pytest.raises(CoveringViolation) as exc:
+        solve_shadowing(f, fam, PseudoOrbit(ctx, (0, 1), NormValue(3, 1)))
+    messages.add(str(exc.value))
+    for build in (build_conjugacy_thm1, build_inverse_conjugacy_thm1):
+        with pytest.raises(CoveringViolation) as exc:
+            build(f, fam, g, delta, 3)
+        messages.add(str(exc.value))
+    assert messages == {"residue 0 is not covered by any right inverse"}
 
 
 @pytest.mark.parametrize("stray", [-1, 3], ids=["-1", "len(members)"])
